@@ -2,10 +2,12 @@
 
 A single line bundle of twist d has (h0, h1) = (max(0, d+1), max(0, -d-1));
 the two-chart complex recovers this exactly at any sufficient truncation
-bound.  Stacking levels computes the thickened structure sheaf both as one
-block complex and level by level, and the Picard dimension of the depth-i
-thickening grows like the triangular numbers, with the degree quotient of
-order |d| = 1 collapsing.
+bound.  A level stack's cohomology is the sum of one such complex per level:
+the block complex over all levels is block-diagonal, so it agrees with the
+levelwise sum, and its H^1 maps onto every shallower truncation; the report
+carries both facts as flags that hold by construction.  The Picard dimension
+of the depth-i thickening grows like the triangular numbers, with the degree
+quotient of order |d| = 1 collapsing.
 """
 
 from ribbonlab import (LevelStack, cech_line_bundle, make_datum,
@@ -24,7 +26,7 @@ for d in range(-4, 3):
 print("\nstacked structure sheaf of the thickenings (twist 0):")
 for depth in (2, 5):
     rep = ribbon_cohomology(LevelStack.for_p2_line(0, depth), B)
-    print(f"  depth {depth}: block (h0,h1) = ({rep.h0},{rep.h1}), levelwise "
+    print(f"  depth {depth}: (h0,h1) = ({rep.h0},{rep.h1}), levelwise "
           f"({rep.levelwise_h0},{rep.levelwise_h1}), agreement={rep.agreement}, "
           f"transitions surjective={rep.transition_surjective}")
 

@@ -7,10 +7,9 @@ together with the cohomological and Picard-group computations that live on
 the same models.
 """
 
-from .cohomology import (CechData, LevelStack, PicardReport, RestrictionReport,
+from .cohomology import (CechData, LevelStack, PicardReport,
                          RibbonCohomologyReport, cech_line_bundle,
-                         picard_dimension, restriction_exactness_check,
-                         ribbon_cohomology)
+                         picard_dimension, ribbon_cohomology)
 from .errors import (ChartError, ConfigError, DegreeBoundError,
                      FieldMismatchError, NotCocompactError,
                      RangeViolationError, RibbonlabError,

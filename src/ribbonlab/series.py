@@ -9,6 +9,7 @@ sentinel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -47,7 +48,9 @@ class Field:
         return "Q" if self.p is None else f"Fp:{self.p}"
 
     @staticmethod
+    @functools.lru_cache
     def from_tag(tag: str) -> "Field":
+        """The field named by ``tag``; cached, so each prime is tested once."""
         if tag == "Q":
             return QQ
         if tag.startswith("Fp:"):
@@ -73,7 +76,10 @@ class Field:
     def _parse(self, s: str) -> "Scalar":
         if "/" in s:
             num, den = s.split("/", 1)
-            return self.scalar(Fraction(int(num), int(den)))
+            try:
+                return self.scalar(Fraction(int(num), int(den)))
+            except ZeroDivisionError:
+                raise ConfigError(f"coefficient {s!r} has a zero denominator") from None
         return self.scalar(int(s))
 
     def format(self, a: "Scalar") -> str:

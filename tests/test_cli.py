@@ -72,6 +72,17 @@ def test_check_malformed_input(tmp_path):
     assert run("check", str(tmp_path / "missing.json")) == 3
 
 
+def test_check_zero_denominator_coefficient(pair_path, tmp_path, capsys):
+    obj = load(pair_path)
+    obj["A"]["generators"][0][0]["terms"][0][2] = "1/0"
+    bad = tmp_path / "zero-den.json"
+    bad.write_text(json.dumps(obj))
+    assert run("check", str(bad)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zero denominator" in err
+    assert err.count("\n") == 1
+
+
 def test_roundtrip_pair_equality(pair_path):
     pair = SchurPair.from_json(load(pair_path))
     again = SchurPair.from_json(json.loads(json.dumps(pair.to_json())))

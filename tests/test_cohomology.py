@@ -4,9 +4,7 @@ import pytest
 
 from oracles import rr_h0, rr_h1
 from ribbonlab.cohomology import (CechData, LevelStack, cech_line_bundle,
-                                  picard_dimension,
-                                  restriction_exactness_check,
-                                  ribbon_cohomology)
+                                  picard_dimension, ribbon_cohomology)
 from ribbonlab.errors import (ChartError, RangeViolationError,
                               TruncationBoundError, UnsupportedDatumError)
 from ribbonlab.geometry import make_datum
@@ -88,22 +86,18 @@ def test_ribbon_cohomology_bound_check():
         ribbon_cohomology(LevelStack.for_p2_line(0, 7), 8)
 
 
-def test_restriction_exactness_on_charts():
-    stack = LevelStack.for_p2_line(0, 3)
-    for chart in ("U1", "U2"):
-        rep = restriction_exactness_check(stack, chart, 6)
-        assert rep.ok
-        for row in rep.levels:
-            assert row["kernel_dim"] == row["level_dim"] == 7
-
-
-def test_restriction_exactness_rejects_overlap():
-    with pytest.raises(ChartError):
-        restriction_exactness_check(LevelStack.for_p2_line(0, 1), "U12", 6)
-
-
-def test_restriction_exactness_empty_stack():
-    assert restriction_exactness_check(LevelStack(()), "U1", 6).ok
+def test_ribbon_cohomology_matches_riemann_roch_oracle():
+    # level j of the twist-T stack is the line bundle of twist d = T - j
+    for fld in (QQ, F31):
+        for twist in range(-3, 4):
+            for depth in range(9):
+                ds = [twist - j for j in range(depth + 1)]
+                tight = max(abs(d) for d in ds) + 2
+                for B in (tight, tight + 3):
+                    rep = ribbon_cohomology(LevelStack.for_p2_line(twist, depth), B, fld)
+                    assert rep.levels == [{"d": d, "h0": rr_h0(d), "h1": rr_h1(d)} for d in ds]
+                    assert (rep.h0, rep.h1) == (sum(rr_h0(d) for d in ds),
+                                                sum(rr_h1(d) for d in ds))
 
 
 def test_picard_dimensions():

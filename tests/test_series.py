@@ -102,6 +102,16 @@ def test_prime_field_validation():
     assert Field(2).scalar(3).value == 1
 
 
+def test_field_from_tag_is_cached():
+    big = Field.from_tag("Fp:2147483647")
+    assert Field.from_tag("Fp:2147483647") is big
+    assert big.p == 2 ** 31 - 1
+    assert Field.from_tag("Q") is QQ
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            Field.from_tag("Fp:6")
+
+
 def test_prime_field_division():
     a = F7.scalar(3)
     assert (a / F7.scalar(5)) * F7.scalar(5) == a
