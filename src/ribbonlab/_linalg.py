@@ -55,15 +55,21 @@ def echelon(rows) -> list:
     return [pivots[k] for k in keys]
 
 
-def reduce_vector(v: dict, basis: list) -> dict:
-    """Remainder of v after full reduction against an echelon basis."""
-    v = {k: c for k, c in v.items() if c}
-    for row in basis:
-        pk = min(row)
-        c = v.get(pk)
-        if c:
-            v = row_sub(v, row_scale(row, c))
-    return v
+def reduce_vector(v: dict, pivots: dict) -> dict:
+    """Remainder of v after full reduction against a reduced echelon basis.
+
+    ``pivots`` maps each basis row's pivot key to the row.  The basis must be
+    in reduced echelon form, as ``echelon`` returns it: pivot coefficient 1
+    and every row zero on every other row's pivot.  Subtracting a row then
+    leaves v's coefficients at the other pivots unchanged, so the multiple
+    of each row is read off v in one pass over v's support.
+    """
+    rem = {k: c for k, c in v.items() if c}
+    for k, c in v.items():
+        row = pivots.get(k)
+        if row is not None and c:
+            rem = row_sub(rem, row_scale(row, c))
+    return rem
 
 
 def rank(rows) -> int:

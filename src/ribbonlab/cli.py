@@ -63,10 +63,15 @@ def _config(args) -> RunConfig:
     return RunConfig(Field.from_tag(tag), window, args.bound)
 
 
-def _write_json(path: str, obj: dict):
+def _write_text(path: str, text: str):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write(text)
         fh.write("\n")
+
+
+def _write_json(path: str, obj: dict):
+    """Write a report: sorted keys, indented for reading (pair files are compact)."""
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _load_pair(path: str) -> SchurPair:
@@ -128,7 +133,7 @@ def _cmd_build(args) -> int:
     pair = forward_krichever(datum, cfg.window, cfg.field)
     obj = pair.to_json()
     obj["config"] = cfg.to_json()
-    _write_json(args.out, obj)
+    _write_text(args.out, json.dumps(obj, sort_keys=True, separators=(",", ":")))
     return EXIT_PASS
 
 
@@ -139,7 +144,7 @@ def _cmd_check(args) -> int:
     obj["config"] = {"field": pair.field.tag, "window": pair.window.to_json()}
     text = json.dumps(obj, sort_keys=True, indent=2)
     if args.report:
-        _write_json(args.report, obj)
+        _write_text(args.report, text)
     print(text)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
             "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
@@ -156,7 +161,7 @@ def _cmd_hilbert(args) -> int:
         "config": {"field": pair.field.tag, "window": pair.window.to_json()},
     }
     _write_json(args.out, obj)
-    return EXIT_PASS
+    return EXIT_PASS if point.ok else EXIT_FAIL
 
 
 def _cmd_cohomology(args) -> int:

@@ -14,6 +14,7 @@ u-order term and the pivot profile is the gap sequence of the subspace.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -58,6 +59,11 @@ class WindowedSubspace:
 
     def row_dicts(self) -> list:
         return [dict(row) for row in self.rows]
+
+    @functools.cached_property
+    def pivot_rows(self) -> dict:
+        """{pivot key: row dict}; a stored row's first key is its pivot."""
+        return {row[0][0]: dict(row) for row in self.rows}
 
     def row_vectors(self) -> list:
         return [_row_to_vector(dict(row), self.r, self.field) for row in self.rows]
@@ -117,7 +123,9 @@ def membership(W: WindowedSubspace, vec: Sequence[LaurentPoly]) -> Verdict:
 
     The vector's support must lie inside the window; terms below u_lo count as
     zero only through the full_below tail of the rows themselves, a vector
-    poking outside is rejected.
+    poking outside is rejected.  The rows must be in reduced echelon form,
+    which ``echelonize`` guarantees: the reduction reads each row's multiple
+    off the vector's coefficient at that row's pivot.
     """
     if len(vec) != W.r:
         raise SupportViolationError(f"vector has {len(vec)} components, expected {W.r}")
@@ -125,7 +133,7 @@ def membership(W: WindowedSubspace, vec: Sequence[LaurentPoly]) -> Verdict:
     for (e, _c) in row:
         if not (W.u_lo <= e < W.u_hi):
             raise SupportViolationError(f"exponent {e} outside window [{W.u_lo}, {W.u_hi})")
-    rem = _linalg.reduce_vector(row, W.row_dicts())
+    rem = _linalg.reduce_vector(row, W.pivot_rows)
     return Verdict.IN if not rem else Verdict.NOT_IN
 
 

@@ -285,14 +285,33 @@ def check_schur_pair(pair: SchurPair) -> SchurReport:
     reduce to NotIn inside W; (3) per-level Fredholm indices exist on every
     level of the t-interior.  Pass needs no NotIn and no Fredholm failure;
     any escape or window-too-small makes the overall verdict inconclusive.
+    Repeated products reuse an earlier routing result, but every occurrence
+    is tallied and every failing occurrence keeps its own label.
     """
     A, W = pair.algebra, pair.module
     w = pair.window
     failures = []
     tallies = {"checked": 0, "deferred": 0, "escaped": 0}
+    # Witness products repeat heavily on split pairs and hardly at all on
+    # perturbed ones, so a result is stored only once its product is seen a
+    # second time: ``seen`` holds the hashes of products checked once.  A hash
+    # collision only costs a recomputation, since the memo matches full keys.
+    seen = set()
+    memo = {}
+
+    def route(L, vec):
+        key = (L is W, tuple(x.terms for x in vec))
+        h = hash(key)
+        if h not in seen:
+            seen.add(h)
+            return _route_check(L, vec)
+        res = memo.get(key)
+        if res is None:
+            res = memo[key] = _route_check(L, vec)
+        return res
 
     def run(L, vec, label):
-        res = _route_check(L, vec)
+        res = route(L, vec)
         if res in ("in", "not-in"):
             tallies["checked"] += 1
         else:

@@ -48,14 +48,11 @@ class Field:
         return "Q" if self.p is None else f"Fp:{self.p}"
 
     @staticmethod
-    @functools.lru_cache
     def from_tag(tag: str) -> "Field":
         """The field named by ``tag``; cached, so each prime is tested once."""
-        if tag == "Q":
-            return QQ
-        if tag.startswith("Fp:"):
-            return Field(int(tag[3:]))
-        raise ConfigError(f"unknown field tag {tag!r}")
+        if not isinstance(tag, str):
+            raise ConfigError(f"field tag must be a string, got {tag!r}")
+        return _field_from_tag(tag)
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction or coefficient string into this field."""
@@ -97,6 +94,15 @@ class Field:
 
 
 QQ = Field()
+
+
+@functools.lru_cache
+def _field_from_tag(tag: str) -> Field:
+    if tag == "Q":
+        return QQ
+    if tag.startswith("Fp:"):
+        return Field(int(tag[3:]))
+    raise ConfigError(f"unknown field tag {tag!r}")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,28 @@ def dense_rank(matrix) -> int:
     return rank
 
 
+def row_scan_reduce(v: dict, basis: list) -> dict:
+    """Remainder of a sparse row v against an echelon basis, row by row.
+
+    Reference for ``_linalg.reduce_vector``: scan the basis in pivot order,
+    find each row's pivot with ``min``, and clear the current remainder's
+    coefficient there.  Valid for any echelon basis sorted by pivot, reduced
+    or not.
+    """
+    v = {k: c for k, c in v.items() if c}
+    for row in basis:
+        pk = min(row)
+        c = v.get(pk)
+        if c:
+            for k, x in row.items():
+                w = v[k] - c * x if k in v else -(c * x)
+                if w:
+                    v[k] = w
+                else:
+                    del v[k]
+    return v
+
+
 def _dense_basis(r: int, u_lo: int, u_hi: int):
     # component-major enumeration, deliberately different from the package's
     return [(c, e) for c in range(r) for e in range(u_lo, u_hi)]

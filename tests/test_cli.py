@@ -83,6 +83,22 @@ def test_check_zero_denominator_coefficient(pair_path, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["pair", "poly"])
+@pytest.mark.parametrize("tag", [5, ["Q"]], ids=["int", "list"])
+def test_check_non_string_field_tag(pair_path, tmp_path, capsys, where, tag):
+    obj = load(pair_path)
+    if where == "pair":
+        obj["field"] = tag
+    else:
+        obj["A"]["levels"][0]["space"]["rows"][0][0]["field"] = tag
+    bad = tmp_path / "field-tag.json"
+    bad.write_text(json.dumps(obj))
+    assert run("check", str(bad)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "field tag" in err
+    assert err.count("\n") == 1
+
+
 def test_roundtrip_pair_equality(pair_path):
     pair = SchurPair.from_json(load(pair_path))
     again = SchurPair.from_json(json.loads(json.dumps(pair.to_json())))
@@ -97,6 +113,26 @@ def test_report_hilbert(pair_path, tmp_path):
     assert obj["table"] == [1, 3, 5, 7, 9]
     assert obj["point_ideal"]["pass"] is True
     assert "window" in obj["config"]
+
+
+def test_report_hilbert_point_ideal_failure_exits_1(pair_path, tmp_path):
+    obj = load(pair_path)
+    level0 = next(e for e in obj["A"]["levels"] if e["b"] == 0)["space"]
+    # drop the row u^-1, so the degree-1 jump of the point ideal is 0
+    level0["rows"] = [vec for vec in level0["rows"] if vec[0]["coeffs"][0][0] != -1]
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps(obj))
+    out = tmp_path / "h.json"
+    assert run("report", "hilbert", "--pair", str(gap), "--max-n", "4",
+               "--out", str(out)) == 1
+    point = load(out)["point_ideal"]
+    assert point["pass"] is False and point["jumps"] == [0, 1, 1, 1]
+
+
+def test_build_writes_compact_pair(pair_path):
+    text = pair_path.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert text == json.dumps(load(pair_path), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_report_picard(tmp_path):

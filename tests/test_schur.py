@@ -10,10 +10,10 @@ from ribbonlab.errors import (ConfigError, RangeViolationError,
 from ribbonlab.fredholm import Verdict, echelonize, pivot_profile
 from ribbonlab.geometry import make_datum, forward_krichever
 from ribbonlab.local2d import Local2DElement, Window2D
-from ribbonlab.schur import (LayeredSubspace, SchurPair, check_schur_pair,
-                             graded_slice, hilbert_function,
+from ribbonlab.schur import (LayeredSubspace, SchurPair, _merge, _route_check,
+                             check_schur_pair, graded_slice, hilbert_function,
                              layered_membership, pair_equal_in_window,
-                             point_ideal_check)
+                             point_ideal_check, scalar_times_vector)
 from ribbonlab.series import QQ, LaurentPoly
 
 W_AC = Window2D(-4, 4, -8, 8, 2, 2)
@@ -249,3 +249,62 @@ def test_prime_field_pipeline():
     assert {row.b: row.index_w for row in rep.levels} == {b: 2 - b for b in range(-2, 2)}
     assert [hilbert_function(pair.algebra, 1, n) for n in range(5)] == [1, 2, 3, 4, 5]
     assert point_ideal_check(pair.algebra, 5).ok
+
+
+def unmemoised_check(pair):
+    """Reference for check_schur_pair's closure part: route every occurrence."""
+    A, W = pair.algebra, pair.module
+    tallies = {"checked": 0, "deferred": 0, "escaped": 0}
+    failures = []
+
+    def run(L, vec, label):
+        res = _route_check(L, vec)
+        tallies["checked" if res in ("in", "not-in") else res] += 1
+        if res == "not-in":
+            failures.append(label)
+        return res
+
+    unit = run(A, (Local2DElement.one(pair.field),), "unit 1 not in A")
+    a_gens = list(A.generators)
+    alg = [unit] + [run(A, g, f"A-generator #{i} fails membership")
+                    for i, g in enumerate(a_gens)]
+    alg += [run(A, scalar_times_vector(g[0], a_gens[j]), f"A-product #{i}*#{j} leaves A")
+            for i, g in enumerate(a_gens) for j in range(i, len(a_gens))]
+    mod = [run(W, w, f"W-generator #{i} fails membership") for i, w in enumerate(W.generators)]
+    mod += [run(W, scalar_times_vector(g[0], w), f"module product A#{i}*W#{j} leaves W")
+            for i, g in enumerate(a_gens) for j, w in enumerate(W.generators)]
+    return {"unit": unit, "subalgebra": _merge(alg), "module_closure": _merge(mod),
+            "tallies": tallies, "failures": failures}
+
+
+@pytest.mark.parametrize("twist", [0, 2])
+def test_check_matches_unmemoised_reference_on_monomial_pair(twist):
+    pair = forward_krichever(make_datum("p2-line", twist), W_AC)
+    got = check_schur_pair(pair).to_json()
+    want = unmemoised_check(pair)
+    assert {k: got[k] for k in want} == want
+    assert got["verdict"] == "pass"
+
+
+def test_check_matches_unmemoised_reference_on_repeated_failures():
+    # three copies of a non-monomial witness whose leading slice u^2 t^-1 is
+    # not in level -1 of A: its own check and its square each fail more than
+    # once.  It does lie in W (twist 2), where the products bad * 1 land, so a
+    # verdict reused across sides would show.
+    bad = mono(2, -1) + mono(-3, 0)
+    obj = forward_krichever(make_datum("p2-line", 2), W_AC).to_json()
+    first = len(obj["A"]["generators"])
+    obj["A"]["generators"] += [[bad.to_json(component=1)]] * 3
+    pair = SchurPair.from_json(obj)
+    assert _route_check(pair.algebra, scalar_times_vector(bad, (bad,))) == "not-in"
+    assert _route_check(pair.module, (bad,)) == "in"
+    got = check_schur_pair(pair).to_json()
+    want = unmemoised_check(pair)
+    assert {k: got[k] for k in want} == want
+    bad_ix = range(first, first + 3)
+    for i in bad_ix:
+        assert got["failures"].count(f"A-generator #{i} fails membership") == 1
+        for j in bad_ix:
+            if i <= j:
+                assert got["failures"].count(f"A-product #{i}*#{j} leaves A") == 1
+    assert got["verdict"] == "fail"
