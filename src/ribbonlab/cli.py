@@ -16,9 +16,9 @@ import sys
 from dataclasses import dataclass
 
 from .cohomology import LevelStack, picard_dimension, ribbon_cohomology
-from .errors import (ConfigError, DegreeBoundError, RibbonlabError,
-                     TruncationBoundError, UnsupportedDatumError,
-                     WindowTooSmallError)
+from .errors import (ConfigError, DegreeBoundError, RangeViolationError,
+                     RibbonlabError, TruncationBoundError,
+                     UnsupportedDatumError, WindowTooSmallError)
 from .geometry import (NODAL_CUBIC, P2_LINE, PROJECTIVE_KINDS, GeometricDatum,
                        NodalCubicRing, forward_krichever, make_datum,
                        noncoherent_chain, order_group)
@@ -176,15 +176,16 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_picard(args) -> int:
     cfg = _config(args)
+    if args.max_i < 1:
+        raise RangeViolationError("--max-i must be a positive integer")
     dims = []
-    last = None
     for i in range(1, args.max_i + 1):
         last = picard_dimension(GeometricDatum(P2_LINE), i, cfg.bound, cfg.field)
         dims.append(last.dim)
-    obj = {"dims": dims, "d": last.d if last else None,
-           "levels": last.levels if last else [], "config": cfg.to_json()}
+    obj = {"dims": dims, "d": last.d, "levels": last.levels, "config": cfg.to_json()}
     _write_json(args.out, obj)
-    return EXIT_PASS
+    # the graded Picard sum is exact only when every graded h0 vanishes
+    return EXIT_PASS if last.h0_vanishing else EXIT_FAIL
 
 
 def _cmd_noncoherent(args) -> int:

@@ -73,6 +73,8 @@ class LevelStack:
     @staticmethod
     def for_p2_line(twist: int, depth: int) -> "LevelStack":
         """Stack of the twist-m sheaf truncated at depth i on the plane/line ribbon."""
+        if depth < 0:
+            raise RangeViolationError("truncation depth must be nonnegative")
         return LevelStack(tuple(twist - j for j in range(depth + 1)))
 
     def __len__(self):

@@ -68,9 +68,6 @@ class WindowedSubspace:
     def row_vectors(self) -> list:
         return [_row_to_vector(dict(row), self.r, self.field) for row in self.rows]
 
-    def dim_rows(self) -> int:
-        return len(self.rows)
-
     def to_json(self) -> dict:
         return {
             "r": self.r,

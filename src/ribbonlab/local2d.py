@@ -135,10 +135,6 @@ class Local2DElement:
                     d[k] = prod
         return Local2DElement.from_dict(self.field, d)
 
-    def scale(self, c) -> "Local2DElement":
-        c = self.field.scalar(c)
-        return Local2DElement.from_dict(self.field, {k: v * c for k, v in self.terms})
-
     def ord_t(self) -> int:
         """Minimal t-exponent carrying a nonzero term; undefined for zero."""
         if not self.terms:
@@ -162,9 +158,6 @@ class Local2DElement:
     def from_json(obj: dict, field: Field) -> "Local2DElement":
         return Local2DElement.from_dict(
             field, {(int(a), int(b)): field.scalar(c) for a, b, c in obj["terms"]})
-
-
-Vector2D = tuple  # tuple[Local2DElement, ...] of length r; component index is positional
 
 
 def l2_add(x: Local2DElement, y: Local2DElement) -> Local2DElement:

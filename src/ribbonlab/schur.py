@@ -1,9 +1,10 @@
 """t-filtered subspaces of K^r, Schur-pair verification, graded slices and Hilbert data.
 
-A LayeredSubspace models a subspace of k((u))((t))^r inside a rectangular
-window: one WindowedSubspace per t-level, plus a finite list of generator
-vectors kept as closure witnesses.  Levels are authoritative; generators are
-witnesses.
+A LayeredSubspace models a subspace L of k((u))((t))^r inside a rectangular
+window as the direct sum of t^b * levels[b], one WindowedSubspace per t-level
+b, plus a finite list of generator vectors kept as closure witnesses.  Levels
+are authoritative.  A witness is checked against L by the same rule that the
+Schur check applies to products, ``layered_membership``.
 
 Membership is three-valued.  Truncation must distinguish "provably outside"
 from "escaped the window", so reductions that reach the distrusted top margin
@@ -12,6 +13,7 @@ return Inconclusive instead of guessing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence, Union
 
@@ -69,14 +71,14 @@ class LayeredSubspace:
         return self._by_b[b]
 
     def validate_witnesses(self):
-        """Check that each generator's leading u-part passes membership at its level."""
-        for vec in self.generators:
-            if vector_is_zero(vec):
-                continue
-            b = ord_t_vector(vec)
-            slice_vec = tuple(x.t_slice(b) for x in vec)
-            if membership(self.level(b), slice_vec) is not Verdict.IN:
-                raise ConfigError("generator leading slice fails membership at its level")
+        """Raise ConfigError if ``layered_membership`` puts a generator outside L.
+
+        An inconclusive verdict (a remainder reaching the top t-margin) is not
+        an error: it says nothing about the witness.
+        """
+        for i, vec in enumerate(self.generators):
+            if layered_membership(self, vec) is Verdict.NOT_IN:
+                raise ConfigError(f"generator #{i} is not in the layered subspace")
 
     def to_json(self) -> dict:
         return {
@@ -220,6 +222,34 @@ def _route_check(L: LayeredSubspace, vec) -> str:
     return "deferred"
 
 
+class Router:
+    """``_route_check`` over the named sides of one closure scan, memoised.
+
+    A result is keyed by side name and exact product, so equal products on
+    different sides never share a verdict.  Witness products repeat heavily
+    on split pairs and hardly at all on perturbed ones, so a result is stored
+    only once its key is routed a second time: ``_seen`` holds the hashes of
+    keys routed once.  A hash collision only costs a recomputation, since the
+    memo matches full keys.
+    """
+
+    def __init__(self, **sides: LayeredSubspace):
+        self.sides = sides
+        self._seen = set()
+        self._memo = {}
+
+    def __call__(self, side: str, vec) -> str:
+        key = (side, tuple(x.terms for x in vec))
+        h = hash(key)
+        if h not in self._seen:
+            self._seen.add(h)
+            return _route_check(self.sides[side], vec)
+        res = self._memo.get(key)
+        if res is None:
+            res = self._memo[key] = _route_check(self.sides[side], vec)
+        return res
+
+
 def _merge(results) -> str:
     if any(r == "not-in" for r in results):
         return "fail"
@@ -285,58 +315,40 @@ def check_schur_pair(pair: SchurPair) -> SchurReport:
     reduce to NotIn inside W; (3) per-level Fredholm indices exist on every
     level of the t-interior.  Pass needs no NotIn and no Fredholm failure;
     any escape or window-too-small makes the overall verdict inconclusive.
-    Repeated products reuse an earlier routing result, but every occurrence
-    is tallied and every failing occurrence keeps its own label.
+    Repeated products reuse an earlier routing result (see ``Router``), but
+    every occurrence is tallied and every failing occurrence keeps its own
+    label.
     """
     A, W = pair.algebra, pair.module
     w = pair.window
     failures = []
-    tallies = {"checked": 0, "deferred": 0, "escaped": 0}
-    # Witness products repeat heavily on split pairs and hardly at all on
-    # perturbed ones, so a result is stored only once its product is seen a
-    # second time: ``seen`` holds the hashes of products checked once.  A hash
-    # collision only costs a recomputation, since the memo matches full keys.
-    seen = set()
-    memo = {}
+    tallies = Counter()
+    route = Router(A=A, W=W)
 
-    def route(L, vec):
-        key = (L is W, tuple(x.terms for x in vec))
-        h = hash(key)
-        if h not in seen:
-            seen.add(h)
-            return _route_check(L, vec)
-        res = memo.get(key)
-        if res is None:
-            res = memo[key] = _route_check(L, vec)
-        return res
-
-    def run(L, vec, label):
-        res = route(L, vec)
-        if res in ("in", "not-in"):
-            tallies["checked"] += 1
-        else:
-            tallies[res] += 1
+    def run(side, vec, label):
+        res = route(side, vec)
+        tallies["checked" if res in ("in", "not-in") else res] += 1
         if res == "not-in":
             failures.append(label)
         return res
 
-    unit_res = run(A, (Local2DElement.one(pair.field),), "unit 1 not in A")
+    unit_res = run("A", (Local2DElement.one(pair.field),), "unit 1 not in A")
     alg_results = [unit_res]
     a_gens = list(A.generators)
     for i, g in enumerate(a_gens):
-        alg_results.append(run(A, g, f"A-generator #{i} fails membership"))
+        alg_results.append(run("A", g, f"A-generator #{i} fails membership"))
     for i, g in enumerate(a_gens):
         for j in range(i, len(a_gens)):
             prod = scalar_times_vector(g[0], a_gens[j])
-            alg_results.append(run(A, prod, f"A-product #{i}*#{j} leaves A"))
+            alg_results.append(run("A", prod, f"A-product #{i}*#{j} leaves A"))
 
     mod_results = []
     for i, wgen in enumerate(W.generators):
-        mod_results.append(run(W, wgen, f"W-generator #{i} fails membership"))
+        mod_results.append(run("W", wgen, f"W-generator #{i} fails membership"))
     for i, g in enumerate(a_gens):
         for j, wgen in enumerate(W.generators):
             prod = scalar_times_vector(g[0], wgen)
-            mod_results.append(run(W, prod, f"module product A#{i}*W#{j} leaves W"))
+            mod_results.append(run("W", prod, f"module product A#{i}*W#{j} leaves W"))
 
     rows = []
     fred_fail = fred_inconclusive = False
@@ -417,7 +429,9 @@ def point_ideal_check(L: LayeredSubspace, n_max: Union[int, None] = None) -> Poi
     """
     if n_max is None:
         n_max = -L.window.u_lo
-    if n_max < 0 or -n_max < L.window.u_lo:
+    if n_max < 0:
+        raise RangeViolationError("n_max must be nonnegative")
+    if -n_max < L.window.u_lo:
         raise WindowTooSmallError(f"n_max {n_max} outside the u-window range")
     dims = [hilbert_function(L, 1, n) for n in range(n_max + 1)]
     jumps = [dims[n] - dims[n - 1] for n in range(1, n_max + 1)]

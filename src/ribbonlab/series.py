@@ -239,10 +239,6 @@ class LaurentPoly:
                     d[e] = prod
         return LaurentPoly.from_dict(self.field, d)
 
-    def scale(self, c) -> "LaurentPoly":
-        c = self.field.scalar(c)
-        return LaurentPoly.from_dict(self.field, {e: a * c for e, a in self.coeffs})
-
     def ord(self) -> int:
         """Minimal exponent carrying a nonzero coefficient; undefined for zero."""
         if not self.coeffs:

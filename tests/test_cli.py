@@ -143,6 +143,45 @@ def test_report_picard(tmp_path):
     assert obj["d"] == -1
 
 
+def test_report_picard_nonvanishing_h0_exits_1(tmp_path, monkeypatch):
+    import ribbonlab.cohomology as cohomology
+
+    real = cohomology.cech_line_bundle
+
+    def with_h0(d, B, fld):
+        h0, h1 = real(d, B, fld)
+        return h0 + 1, h1
+
+    monkeypatch.setattr(cohomology, "cech_line_bundle", with_h0)
+    out = tmp_path / "p.json"
+    assert run("report", "picard", "--max-i", "3", "--out", str(out)) == 1
+    assert [lv["h0"] for lv in load(out)["levels"]] == [1, 1, 1]
+
+
+def usage_error(capsys, *argv):
+    """Exit code of a run, after checking its stderr is one error: line."""
+    rc = run(*argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return rc
+
+
+def test_report_hilbert_negative_max_n(pair_path, tmp_path, capsys):
+    assert usage_error(capsys, "report", "hilbert", "--pair", str(pair_path),
+                       "--max-n", "-1", "--out", str(tmp_path / "h.json")) == 3
+
+
+def test_report_cohomology_negative_depth(tmp_path, capsys):
+    assert usage_error(capsys, "report", "cohomology", "--depth", "-1",
+                       "--out", str(tmp_path / "c.json")) == 3
+
+
+def test_report_picard_max_i_zero(tmp_path, capsys):
+    assert usage_error(capsys, "report", "picard", "--max-i", "0",
+                       "--out", str(tmp_path / "p.json")) == 3
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_report_noncoherent(tmp_path):
     out = tmp_path / "n.json"
     assert run("report", "demo-noncoherent", "--max-k", "3", "--degree-bound", "6",

@@ -1,16 +1,20 @@
+from collections import Counter
+
 import pytest
 
 from oracles import chi, section_monomial_allowed
 from ribbonlab.errors import (ConfigError, DegreeBoundError,
                               UnsupportedDatumError, WindowTooSmallError)
-from ribbonlab.fredholm import echelonize, pivot_profile
-from ribbonlab.geometry import (NodalCubicRing,
-                                _validate_layered, forward_krichever,
-                                level_index_table, make_datum,
-                                noncoherent_chain, order_group,
+from ribbonlab import _linalg
+from ribbonlab.fredholm import Verdict, echelonize, pivot_profile
+from ribbonlab.geometry import (PROJECTIVE_KINDS, NodalCubicRing,
+                                RibbonAxiomReport, _validate_layered,
+                                forward_krichever, level_index_table,
+                                make_datum, noncoherent_chain, order_group,
                                 validate_ribbon_axioms)
-from ribbonlab.local2d import Local2DElement, Window2D
-from ribbonlab.schur import LayeredSubspace, check_schur_pair
+from ribbonlab.local2d import Local2DElement, Window2D, ord_t
+from ribbonlab.schur import (LayeredSubspace, _route_check, check_schur_pair,
+                             layered_membership)
 from ribbonlab.series import QQ
 
 W_AC = Window2D(-4, 4, -8, 8, 2, 2)
@@ -135,17 +139,90 @@ def test_validate_ribbon_axioms_nilpotent_relations():
     assert rep.products_vanished > 0  # t_i t_j = 0 away from level zero
 
 
-def test_validate_ribbon_axioms_corrupted_level():
-    g = make_datum("p2-line", 0)
-    pair = forward_krichever(g, W_AC)
+def corrupt_level_zero(layer):
+    """The layer with the below-window tail of level 0 dropped."""
     levels = []
-    for b, lvl in pair.algebra.levels:
+    for b, lvl in layer.levels:
         if b == 0:
             lvl = echelonize(lvl.row_vectors(), 1, lvl.u_lo, lvl.u_hi, False, field=QQ)
         levels.append((b, lvl))
-    corrupted = LayeredSubspace(QQ, 1, W_AC, tuple(levels), pair.algebra.generators)
+    return LayeredSubspace(QQ, 1, layer.window, tuple(levels), layer.generators)
+
+
+def test_validate_ribbon_axioms_corrupted_level():
+    g = make_datum("p2-line", 0)
+    corrupted = corrupt_level_zero(forward_krichever(g, W_AC).algebra)
     rep = _validate_layered(g, corrupted)
     assert not rep.torsion_free and 0 in rep.bad_levels
+
+
+def unrouted_axiom_scan(g, layer):
+    """Reference for _validate_layered: a t-order test and an unmemoised route per product."""
+    w = layer.window
+    unit = _route_check(layer, (Local2DElement.one(layer.field),)) == "in"
+    counts = Counter()
+    gens = [vec[0] for vec in layer.generators]
+    for i, x in enumerate(gens):
+        for y in gens[i:]:
+            prod = g.product(x, y)
+            if not prod:
+                counts["vanished"] += 1
+            elif ord_t(prod) < ord_t(x) + ord_t(y):
+                counts["not-in"] += 1
+            else:
+                counts[_route_check(layer, (prod,))] += 1
+    bad = []
+    for b in range(w.t_lo, w.t_hi):
+        lvl = layer.level(b)
+        pivots = _linalg.pivot_keys(lvl.row_dicts())
+        if not (lvl.full_below and all(e < w.u_trusted_hi for (e, _c) in pivots)):
+            bad.append(b)
+    return RibbonAxiomReport(unit, counts["not-in"] == 0, counts["in"], counts["vanished"],
+                             counts["deferred"], counts["escaped"], not bad, bad).to_json()
+
+
+def bench_window(h):
+    return Window2D(-h, h, -2 * h, 2 * h, h // 2, h // 2)
+
+
+@pytest.mark.parametrize("h", [4, 6, 8])
+@pytest.mark.parametrize("kind,twist", [("p2-line", 0), ("p2-line", 2), ("nilpotent", 0),
+                                        ("even-variant", 0)])
+def test_validate_ribbon_axioms_matches_unrouted_scan(kind, twist, h):
+    g = make_datum(kind, twist)
+    w = bench_window(h)
+    got = validate_ribbon_axioms(g, w).to_json()
+    assert got == unrouted_axiom_scan(g, forward_krichever(g, w).algebra)
+    # the even variant's odd levels are zero, without a below-window tail
+    assert got["verdict"] == ("fail" if kind == "even-variant" else "pass")
+
+
+def test_validate_ribbon_axioms_matches_unrouted_scan_on_broken_layers():
+    g = make_datum("p2-line", 0)
+    layer = forward_krichever(g, W_AC).algebra
+    corrupted = corrupt_level_zero(layer)
+    got = _validate_layered(g, corrupted).to_json()
+    assert got == unrouted_axiom_scan(g, corrupted)
+    assert got["torsion_free_levels"] == {"pass": False, "bad_levels": [0]}
+
+    injected = LayeredSubspace(QQ, 1, W_AC, layer.levels,
+                               layer.generators + ((Local2DElement.monomial(QQ, 1, 0),),))
+    got = _validate_layered(g, injected).to_json()
+    assert got == unrouted_axiom_scan(g, injected)
+    assert got["filtered_products"] == {"pass": False, "checked": 476, "vanished": 0,
+                                        "deferred": 15, "escaped": 0}
+
+
+@pytest.mark.parametrize("h", [4, 6, 8])
+@pytest.mark.parametrize("kind,twist", [(kind, 0) for kind in PROJECTIVE_KINDS]
+                         + [("p2-line", 2)])
+def test_forward_witnesses_lie_in_their_sides(kind, twist, h):
+    # forward_krichever takes witnesses and levels from the same level_bound
+    # and does not validate at run time; this keeps that guarantee checked
+    pair = forward_krichever(make_datum(kind, twist), bench_window(h))
+    for side in (pair.algebra, pair.module):
+        side.validate_witnesses()
+        assert all(layered_membership(side, vec) is Verdict.IN for vec in side.generators)
 
 
 def test_nilpotent_datum_product_relations():

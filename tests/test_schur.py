@@ -214,6 +214,23 @@ def test_witness_validation_strict(p2_pair):
         bad.validate_witnesses()
 
 
+def test_witness_rule_is_layered_membership_on_non_split_witness():
+    # level 0 = tail + u^0, level 1 = tail, witness g = u^0 t^0 + u^3 t^1.
+    # Its leading slice u^0 lies in level 0, but the one membership rule
+    # subtracts the bare slice and finds u^3 outside level 1, so the witness
+    # is rejected.  For the subspace g generates both verdicts below are
+    # wrong: subtracting bare slices is sound only for split subspaces.
+    w = Window2D(0, 2, -2, 5, 0, 0)
+    level0 = echelonize([(LaurentPoly.monomial(QQ, 0),)], 1, w.u_lo, w.u_hi, True, field=QQ)
+    level1 = echelonize([], 1, w.u_lo, w.u_hi, True, field=QQ)
+    g = mono(0, 0) + mono(3, 1)
+    L = LayeredSubspace(QQ, 1, w, ((0, level0), (1, level1)), ((g,),))
+    with pytest.raises(ConfigError):
+        L.validate_witnesses()
+    assert layered_membership(L, g) is Verdict.NOT_IN
+    assert layered_membership(L, mono(0, 0)) is Verdict.IN
+
+
 def test_layered_membership_soundness_vs_brute_force():
     rng = random.Random(77)
     w = Window2D(-2, 2, -3, 3, 0, 1)
