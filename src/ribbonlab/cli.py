@@ -76,7 +76,10 @@ def _write_json(path: str, obj: dict):
 
 def _load_pair(path: str) -> SchurPair:
     with open(path, "r", encoding="utf-8") as fh:
-        return SchurPair.from_json(json.load(fh))
+        try:
+            return SchurPair.from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"malformed pair file {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -27,6 +27,8 @@ class Window2D:
     m_u: int = 0
 
     def __post_init__(self):
+        if any(type(v) is not int for v in vars(self).values()):
+            raise ConfigError("window bounds and margins must be integers")
         if not (self.t_lo < self.t_hi and self.u_lo < self.u_hi):
             raise ConfigError("window bounds must satisfy t_lo < t_hi and u_lo < u_hi")
         if self.m_t < 0 or self.m_u < 0:

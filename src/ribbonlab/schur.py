@@ -8,7 +8,10 @@ Schur check applies to products, ``layered_membership``.
 
 Membership is three-valued.  Truncation must distinguish "provably outside"
 from "escaped the window", so reductions that reach the distrusted top margin
-return Inconclusive instead of guessing.
+return Inconclusive instead of guessing.  The Schur check routes each witness
+product in one pass over its terms (``_route_check``: in, not-in, deferred
+into a margin, or escaped the window) and merges every outcome, Fredholm
+markers included, by one order: pass < inconclusive < fail.
 """
 
 from __future__ import annotations
@@ -43,10 +46,6 @@ def scalar_times_vector(a: Local2DElement, vec: Sequence[Local2DElement]) -> tup
     return tuple(l2_mul(a, x) for x in vec)
 
 
-def vector_is_zero(vec) -> bool:
-    return not any(vec)
-
-
 @dataclass(frozen=True)
 class LayeredSubspace:
     """Window model of a t-filtered subspace: one windowed space per t-level."""
@@ -65,6 +64,8 @@ class LayeredSubspace:
             lvl = by_b[b]
             if lvl.r != self.r or (lvl.u_lo, lvl.u_hi) != (self.window.u_lo, self.window.u_hi):
                 raise ConfigError(f"level {b} does not match the layered window/rank")
+        if any(len(vec) != self.r for vec in self.generators):
+            raise ConfigError(f"every generator needs {self.r} components")
         object.__setattr__(self, "_by_b", by_b)
 
     def level(self, b: int) -> WindowedSubspace:
@@ -163,7 +164,7 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
             if not w.contains(a, b):
                 raise SupportViolationError(f"term u^{a} t^{b} outside the window")
     rem = list(vec)
-    while not vector_is_zero(rem):
+    while any(rem):
         b = ord_t_vector(rem)
         if b >= w.t_trusted_hi:
             return Verdict.INCONCLUSIVE
@@ -178,48 +179,35 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
     return Verdict.IN
 
 
-def _absorb_below(vec, L: LayeredSubspace):
-    """Drop terms below the u-window when the level at their t-order is full_below."""
-    w = L.window
-    out = []
-    blocked = False
-    for comp in vec:
-        kept = {}
-        for (a, b), c in comp.terms:
-            if a < w.u_lo:
-                if w.t_lo <= b < w.t_hi and L.level(b).full_below:
-                    continue
-                blocked = True
-            kept[(a, b)] = c
-        out.append(Local2DElement.from_dict(comp.field, kept))
-    return tuple(out), blocked
-
-
 def _route_check(L: LayeredSubspace, vec) -> str:
     """Classify a product against the window's trust regions, then decide.
 
-    Returns one of 'in', 'not-in', 'deferred', 'escaped'.  Deferred products
-    land inside the window but inside a margin band: the margins exist exactly
-    to absorb them, so they carry no verdict.  Escaped products leave the
-    representable window altogether, which is margin exhaustion.
+    One pass over the terms returns 'escaped' at the first term that leaves
+    the representable window: outside the t-window, at or above u_hi, or below
+    u_lo at a level without a full below-window tail.  Below-window terms that
+    a full_below level absorbs are dropped.  What is left is 'in' if it is
+    zero, 'deferred' if a term lies in a margin band (the margins exist to
+    absorb exactly these), and otherwise the ``layered_membership`` verdict,
+    'in' or 'not-in'.  That verdict is never inconclusive here: subtracting a
+    lift removes one t-slice, so every t-order reduced is below t_trusted_hi.
     """
     w = L.window
-    vec, blocked = _absorb_below(vec, L)
-    if vector_is_zero(vec):
+    kept, in_margin = [], False
+    for comp in vec:
+        terms = []
+        for (a, b), c in comp.terms:
+            if not w.t_lo <= b < w.t_hi or a >= w.u_hi:
+                return "escaped"
+            if a < w.u_lo:
+                if L.level(b).full_below:
+                    continue
+                return "escaped"
+            in_margin = in_margin or b >= w.t_trusted_hi or a >= w.u_trusted_hi
+            terms.append(((a, b), c))
+        kept.append(Local2DElement(comp.field, tuple(terms)))
+    if not any(kept):
         return "in"
-    if blocked:
-        return "escaped"
-    support = [k for comp in vec for k in comp.support()]
-    if any(b < w.t_lo or b >= w.t_hi or a >= w.u_hi for (a, b) in support):
-        return "escaped"
-    if all(b < w.t_trusted_hi and a < w.u_trusted_hi for (a, b) in support):
-        verdict = layered_membership(L, vec)
-        if verdict is Verdict.IN:
-            return "in"
-        if verdict is Verdict.NOT_IN:
-            return "not-in"
-        return "escaped"
-    return "deferred"
+    return "deferred" if in_margin else layered_membership(L, kept).value
 
 
 class Router:
@@ -250,12 +238,16 @@ class Router:
         return res
 
 
-def _merge(results) -> str:
-    if any(r == "not-in" for r in results):
-        return "fail"
-    if any(r == "escaped" for r in results):
-        return "inconclusive"
-    return "pass"
+# the verdict each check outcome supports; None is a level with an index
+_VERDICT_OF = {"in": "pass", "deferred": "pass", None: "pass",
+               "escaped": "inconclusive", "window-too-small": "inconclusive",
+               "not-in": "fail", "not-cocompact": "fail"}
+_SEVERITY = ("pass", "inconclusive", "fail")
+
+
+def _merge(outcomes) -> str:
+    """The most severe verdict the outcomes support: pass < inconclusive < fail."""
+    return max((_VERDICT_OF[o] for o in outcomes), key=_SEVERITY.index, default="pass")
 
 
 @dataclass
@@ -323,56 +315,41 @@ def check_schur_pair(pair: SchurPair) -> SchurReport:
     w = pair.window
     failures = []
     tallies = Counter()
+    outcomes = {"A": set(), "W": set()}
     route = Router(A=A, W=W)
 
     def run(side, vec, label):
         res = route(side, vec)
+        outcomes[side].add(res)
         tallies["checked" if res in ("in", "not-in") else res] += 1
         if res == "not-in":
             failures.append(label)
         return res
 
     unit_res = run("A", (Local2DElement.one(pair.field),), "unit 1 not in A")
-    alg_results = [unit_res]
-    a_gens = list(A.generators)
+    a_gens = A.generators
     for i, g in enumerate(a_gens):
-        alg_results.append(run("A", g, f"A-generator #{i} fails membership"))
+        run("A", g, f"A-generator #{i} fails membership")
     for i, g in enumerate(a_gens):
         for j in range(i, len(a_gens)):
-            prod = scalar_times_vector(g[0], a_gens[j])
-            alg_results.append(run("A", prod, f"A-product #{i}*#{j} leaves A"))
-
-    mod_results = []
+            run("A", scalar_times_vector(g[0], a_gens[j]), f"A-product #{i}*#{j} leaves A")
     for i, wgen in enumerate(W.generators):
-        mod_results.append(run("W", wgen, f"W-generator #{i} fails membership"))
+        run("W", wgen, f"W-generator #{i} fails membership")
     for i, g in enumerate(a_gens):
         for j, wgen in enumerate(W.generators):
-            prod = scalar_times_vector(g[0], wgen)
-            mod_results.append(run("W", prod, f"module product A#{i}*W#{j} leaves W"))
+            run("W", scalar_times_vector(g[0], wgen), f"module product A#{i}*W#{j} leaves W")
 
-    rows = []
-    fred_fail = fred_inconclusive = False
+    rows, markers = [], set()
     for b in range(w.t_lo + w.m_t, w.t_hi - w.m_t):
         ia, ma = _index_or_marker(A.level(b), w.m_u)
         iw, mw = _index_or_marker(W.level(b), w.m_u)
         rows.append(LevelIndexRow(b, ia, iw, ma, mw))
-        for marker, lbl in ((ma, "A"), (mw, "W")):
-            if marker == "not-cocompact":
-                fred_fail = True
-                failures.append(f"level {b} of {lbl} is not cocompact")
-            elif marker == "window-too-small":
-                fred_inconclusive = True
+        markers |= {ma, mw}
+        failures += [f"level {b} of {lbl} is not cocompact"
+                     for marker, lbl in ((ma, "A"), (mw, "W")) if marker == "not-cocompact"]
 
-    subalgebra = _merge(alg_results)
-    module_closure = _merge(mod_results)
-    fredholm = "fail" if fred_fail else ("inconclusive" if fred_inconclusive else "pass")
-    parts = (subalgebra, module_closure, fredholm)
-    if "fail" in parts:
-        verdict = "fail"
-    elif "inconclusive" in parts:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass"
+    subalgebra, module_closure, fredholm = map(_merge, (outcomes["A"], outcomes["W"], markers))
+    verdict = _merge(outcomes["A"] | outcomes["W"] | markers)
     return SchurReport(subalgebra, module_closure, fredholm, verdict,
                        unit_res, rows, tallies["checked"], tallies["deferred"],
                        tallies["escaped"], failures)

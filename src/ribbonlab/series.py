@@ -55,13 +55,19 @@ class Field:
         return _field_from_tag(tag)
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction or coefficient string into this field."""
+        """Coerce an int, Fraction or coefficient string into this field.
+
+        Anything else, a float or a bool included, is a ConfigError: a float
+        is already rounded, and 0.5 would become 0 in F_7.
+        """
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatchError(f"{value.field.tag} vs {self.tag}")
             return value
         if isinstance(value, str):
             return self._parse(value)
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ConfigError(f"coefficient {value!r} is not an integer, fraction or string")
         if self.p is None:
             return Scalar(self, Fraction(value))
         if isinstance(value, Fraction):

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ribbonlab.cli import main
 from ribbonlab.schur import SchurPair, pair_equal_in_window
@@ -259,3 +262,103 @@ def test_check_rejects_inconsistent_levels(pair_path, tmp_path):
     bad = tmp_path / "inconsistent.json"
     bad.write_text(json.dumps(obj))
     assert run("check", str(bad)) == 3
+
+
+def set_path(obj, path, value):
+    """Copy of a JSON tree with the value at ``path`` (a key/index list) replaced."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+A_GEN = ["A", "generators", 0]
+A_ROW = ["A", "levels", 0, "space", "rows"]
+MALFORMED = [
+    (["window", "t_lo"], "a"), (["window", "u_hi"], None), (["window", "m_u"], [1]),
+    (["A"], [1]), (["A", "levels"], 5), (A_ROW, 3), ([], [1]),
+    (A_GEN + [0, "terms", 0, 2], [1]), (A_GEN + [0, "terms", 0, 2], None),
+    (A_GEN + [0, "terms", 0, 2], {}), (["meta"], [1]), (["window", "m_t"], 0.5),
+    (["W", "levels", 1, "space", "u_lo"], "no"), (A_GEN, 5), (A_GEN, []),
+]
+
+
+@pytest.mark.parametrize("path,value", MALFORMED, ids=lambda v: json.dumps(v))
+def test_check_malformed_pair_exits_3(pair_path, tmp_path, capsys, path, value):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(set_path(load(pair_path), path, value)))
+    assert usage_error(capsys, "check", str(bad)) == 3
+
+
+def test_malformed_pair_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "top-level-list.json"
+    bad.write_text("[1]")
+    assert run("check", str(bad)) == 3
+    assert capsys.readouterr().err.startswith(f"error: malformed pair file {bad}: TypeError")
+
+
+@pytest.mark.parametrize("field,value", [("Fp:7", 0.5), ("Fp:7", 1.5), ("Q", 0.1)])
+def test_check_float_coefficient_exits_3(tmp_path, capsys, field, value):
+    out = tmp_path / "pair.json"
+    assert run("build", "p2-line", "--field", field, "--out", str(out)) == 0
+    bad = tmp_path / "float.json"
+    bad.write_text(json.dumps(set_path(load(out), A_GEN + [0, "terms", 0, 2], value)))
+    assert usage_error(capsys, "check", str(bad)) == 3
+
+
+SMALL_WINDOW = ("--t-lo", "-2", "--t-hi", "2", "--u-lo", "-3", "--u-hi", "3",
+                "--margin-t", "1", "--margin-u", "1")
+
+
+@pytest.fixture(scope="module")
+def small_pair(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "pair.json"
+    assert run("build", "p2-line", "--out", str(path), *SMALL_WINDOW) == 0
+    return load(path), path.parent
+
+
+def value_paths(obj, path=()):
+    yield list(path)
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in items:
+        yield from value_paths(child, path + (key,))
+
+
+SMALL_INTS = st.integers(-3, 3)
+OTHER_JSON = {
+    "null": st.none(), "bool": st.booleans(),
+    "number": st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=4),
+    "list": st.lists(SMALL_INTS | st.text(max_size=2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=2), SMALL_INTS, max_size=2),
+}
+
+
+def json_type(value):
+    return {type(None): "null", bool: "bool", int: "number", float: "number", str: "str",
+            list: "list", dict: "object"}[type(value)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_pair_never_raises(small_pair, data):
+    obj, tmp = small_pair
+    path = data.draw(st.sampled_from(list(value_paths(obj))))
+    old = obj
+    for key in path:
+        old = old[key]
+    kind = data.draw(st.sampled_from(sorted(set(OTHER_JSON) - {json_type(old)})))
+    bad = tmp / "mutated.json"
+    bad.write_text(json.dumps(set_path(obj, path, data.draw(OTHER_JSON[kind]))))
+    for argv in (["check", str(bad)],
+                 ["report", "hilbert", "--pair", str(bad), "--max-n", "2",
+                  "--out", str(tmp / "h.json")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import brute_membership, random_windowed_rows
 from ribbonlab.errors import (ConfigError, RangeViolationError,
@@ -325,3 +326,106 @@ def test_check_matches_unmemoised_reference_on_repeated_failures():
             if i <= j:
                 assert got["failures"].count(f"A-product #{i}*#{j} leaves A") == 1
     assert got["verdict"] == "fail"
+
+
+def test_merge_takes_the_most_severe_verdict():
+    assert _merge(set()) == _merge({"in", "deferred", None}) == "pass"
+    assert _merge({"in", "escaped"}) == _merge({"window-too-small", None}) == "inconclusive"
+    assert _merge({"escaped", "not-in"}) == _merge({"window-too-small", "not-cocompact"}) == "fail"
+
+
+def test_check_fredholm_part_inconclusive_then_fail(p2_pair):
+    # a level-0 row u^7 puts a pivot in the top u-margin: window-too-small;
+    # dropping level 1's tail on top of that is a failure, which wins
+    obj = p2_pair.to_json()
+    level = {e["b"]: e["space"] for e in obj["A"]["levels"]}
+    level[0]["rows"].append([LaurentPoly.monomial(QQ, 7).to_json()])
+    rep = check_schur_pair(SchurPair.from_json(obj))
+    assert (rep.subalgebra, rep.fredholm, rep.verdict) == ("pass", "inconclusive", "inconclusive")
+    assert rep.failures == []
+    level[1]["full_below"] = False
+    rep = check_schur_pair(SchurPair.from_json(obj))
+    assert (rep.fredholm, rep.verdict) == ("fail", "fail")
+    assert "level 1 of A is not cocompact" in rep.failures
+
+
+def two_pass_route(L, vec):
+    """Reference for _route_check: the two-pass routing it replaced.
+
+    The first pass drops the below-window terms a full_below level absorbs
+    and notes any other below-window term; the second classifies the rest.
+    """
+    w = L.window
+    out = []
+    blocked = False
+    for comp in vec:
+        kept = {}
+        for (a, b), c in comp.terms:
+            if a < w.u_lo:
+                if w.t_lo <= b < w.t_hi and L.level(b).full_below:
+                    continue
+                blocked = True
+            kept[(a, b)] = c
+        out.append(Local2DElement.from_dict(comp.field, kept))
+    vec = tuple(out)
+    if not any(vec):
+        return "in"
+    if blocked:
+        return "escaped"
+    support = [k for comp in vec for k in comp.support()]
+    if any(b < w.t_lo or b >= w.t_hi or a >= w.u_hi for (a, b) in support):
+        return "escaped"
+    if all(b < w.t_trusted_hi and a < w.u_trusted_hi for (a, b) in support):
+        verdict = layered_membership(L, vec)
+        if verdict is Verdict.IN:
+            return "in"
+        if verdict is Verdict.NOT_IN:
+            return "not-in"
+        return "escaped"
+    return "deferred"
+
+
+@st.composite
+def layered_and_vector(draw):
+    """A random layered subspace, some levels full_below, and a vector whose
+    terms fall inside the window, in its margins, below, above and outside it.
+    The vector also carries t^b-shifted level rows, so 'in' comes up often."""
+    r = draw(st.integers(1, 2))
+    t_lo, u_lo = draw(st.integers(-2, 0)), draw(st.integers(-4, -1))
+    t_hi, u_hi = t_lo + draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    w = Window2D(t_lo, t_hi, u_lo, u_hi, draw(st.integers(0, (t_hi - t_lo - 1) // 2)),
+                 draw(st.integers(0, (u_hi - u_lo - 1) // 2)))
+    poly = st.dictionaries(st.integers(u_lo, u_hi - 1), st.integers(-3, 3), max_size=3)
+    levels = []
+    for b in range(t_lo, t_hi):
+        rows = draw(st.lists(st.lists(poly, min_size=r, max_size=r), max_size=3))
+        rows = [tuple(LaurentPoly.from_dict(QQ, d) for d in vec) for vec in rows]
+        levels.append((b, echelonize(rows, r, u_lo, u_hi, draw(st.booleans()), field=QQ)))
+    L = LayeredSubspace(QQ, r, w, tuple(levels), ())
+    comps = [{} for _ in range(r)]
+    for b, lvl in levels:
+        for row in lvl.row_vectors():
+            m = draw(st.integers(-2, 2))
+            for c, p in enumerate(row):
+                for e, x in p.coeffs:
+                    comps[c][(e, b)] = comps[c].get((e, b), 0) + m * x
+    keys = st.tuples(st.integers(u_lo - 2, u_hi + 1), st.integers(t_lo - 1, t_hi))
+    for comp in comps:
+        for k, x in draw(st.dictionaries(keys, st.integers(-3, 3), max_size=3)).items():
+            comp[k] = comp.get(k, 0) + x
+    return L, tuple(Local2DElement.from_dict(QQ, comp) for comp in comps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layered_and_vector())
+def test_route_check_matches_two_pass_route(case):
+    L, vec = case
+    assert _route_check(L, vec) == two_pass_route(L, vec)
+    # once all support is trusted, a reduction never reaches the top margin,
+    # which is why _route_check has no inconclusive branch
+    w = L.window
+    trusted = tuple(Local2DElement.from_dict(QQ, {(a, b): c for (a, b), c in x.terms
+                                                  if w.u_lo <= a < w.u_hi
+                                                  and w.t_lo <= b < w.t_trusted_hi})
+                    for x in vec)
+    assert layered_membership(L, trusted) is not Verdict.INCONCLUSIVE
