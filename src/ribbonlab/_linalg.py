@@ -62,13 +62,26 @@ def reduce_vector(v: dict, pivots: dict) -> dict:
     in reduced echelon form, as ``echelon`` returns it: pivot coefficient 1
     and every row zero on every other row's pivot.  Subtracting a row then
     leaves v's coefficients at the other pivots unchanged, so the multiple
-    of each row is read off v in one pass over v's support.
+    of each row is read off v in one pass over v's support.  Each multiple
+    is subtracted in place from one working copy of v; v itself is not
+    modified.
     """
     rem = {k: c for k, c in v.items() if c}
     for k, c in v.items():
         row = pivots.get(k)
-        if row is not None and c:
-            rem = row_sub(rem, row_scale(row, c))
+        if row is None or not c:
+            continue
+        for k2, x in row.items():
+            y = x * c
+            w = rem.get(k2)
+            if w is None:
+                rem[k2] = -y
+            else:
+                w = w - y
+                if w:
+                    rem[k2] = w
+                else:
+                    del rem[k2]
     return rem
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import _linalg
-from .errors import (NotCocompactError, SupportViolationError,
+from .errors import (ConfigError, NotCocompactError, SupportViolationError,
                      WindowMismatchError, WindowTooSmallError)
-from .series import Field, LaurentPoly
+from .series import Field, LaurentPoly, json_int
 
 
 class Verdict(enum.Enum):
@@ -38,12 +38,10 @@ def _vector_to_row(vec: Sequence[LaurentPoly]) -> dict:
     return row
 
 
-def _row_to_vector(row: dict, r: int, field: Field) -> tuple:
-    polys = []
-    for c in range(r):
-        polys.append(LaurentPoly.from_dict(
-            field, {e: coeff for (e, cc), coeff in row.items() if cc == c}))
-    return tuple(polys)
+def _row_to_vector(row: tuple, r: int, field: Field) -> tuple:
+    """Split a stored row, sorted by (e, c), into its r canonical components."""
+    return tuple(LaurentPoly(field, tuple((e, coeff) for (e, cc), coeff in row if cc == c))
+                 for c in range(r))
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class WindowedSubspace:
         return {row[0][0]: dict(row) for row in self.rows}
 
     def row_vectors(self) -> list:
-        return [_row_to_vector(dict(row), self.r, self.field) for row in self.rows]
+        return [_row_to_vector(row, self.r, self.field) for row in self.rows]
 
     def to_json(self) -> dict:
         return {
@@ -79,9 +77,11 @@ class WindowedSubspace:
 
     @staticmethod
     def from_json(obj: dict, field: Field) -> "WindowedSubspace":
+        if type(obj["full_below"]) is not bool:
+            raise ConfigError(f"full_below {obj['full_below']!r} is not true or false")
         rows = [tuple(LaurentPoly.from_json(p) for p in vec) for vec in obj["rows"]]
-        return echelonize(rows, obj["r"], obj["u_lo"], obj["u_hi"], obj["full_below"],
-                          field=field)
+        return echelonize(rows, json_int(obj["r"], "rank r"), json_int(obj["u_lo"], "u_lo"),
+                          json_int(obj["u_hi"], "u_hi"), obj["full_below"], field=field)
 
 
 def echelonize(rows: Sequence[Sequence[LaurentPoly]], r: int, u_lo: int, u_hi: int,

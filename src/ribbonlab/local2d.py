@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 from .errors import ConfigError, FieldMismatchError, ZeroOrderError
-from .series import Field, LaurentPoly
+from .series import Field, LaurentPoly, json_int
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,14 @@ class Window2D:
 
 @dataclass(frozen=True)
 class Local2DElement:
-    """Finite sum of monomials u^a t^b; terms sorted by (b, a), no stored zeros."""
+    """Finite sum of monomials u^a t^b, stored canonically.
+
+    Canonical means: terms strictly increasing in (b, a), no zero
+    coefficient, and every coefficient a Scalar of ``field``.  Only
+    ``from_dict`` and ``from_json`` coerce (they are the input boundary); the
+    arithmetic, ``t_slice`` and ``truncate`` build their results directly
+    from canonical terms, so equal elements have equal ``terms``.
+    """
 
     field: Field
     terms: tuple = ()  # ((a, b), Scalar), sorted by (b, a)
@@ -105,37 +112,53 @@ class Local2DElement:
         return bool(self.terms)
 
     def _check(self, other: "Local2DElement"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(f"{self.field.tag} vs {other.field.tag}")
 
-    def __add__(self, other: "Local2DElement") -> "Local2DElement":
+    def _merge(self, other: "Local2DElement", negate: bool) -> "Local2DElement":
+        """self + other, or self - other when ``negate``: one merge of two sorted runs."""
         self._check(other)
-        d = self.as_dict()
-        for k, c in other.terms:
-            if k in d:
-                d[k] = d[k] + c
+        x, y = self.terms, other.terms
+        out = []
+        i = j = 0
+        while i < len(x) and j < len(y):
+            (ax, bx), cx = x[i]
+            (ay, by), cy = y[j]
+            if bx < by or (bx == by and ax < ay):
+                out.append(x[i])
+                i += 1
+            elif by < bx or ay < ax:
+                out.append((y[j][0], -cy) if negate else y[j])
+                j += 1
             else:
-                d[k] = c
-        return Local2DElement.from_dict(self.field, d)
+                c = cx - cy if negate else cx + cy
+                if c:
+                    out.append((x[i][0], c))
+                i += 1
+                j += 1
+        out += x[i:]
+        out += [(k, -c) for k, c in y[j:]] if negate else y[j:]
+        return Local2DElement(self.field, tuple(out))
+
+    def __add__(self, other: "Local2DElement") -> "Local2DElement":
+        return self._merge(other, False)
 
     def __neg__(self) -> "Local2DElement":
         return Local2DElement(self.field, tuple((k, -c) for k, c in self.terms))
 
     def __sub__(self, other: "Local2DElement") -> "Local2DElement":
-        return self + (-other)
+        return self._merge(other, True)
 
     def __mul__(self, other: "Local2DElement") -> "Local2DElement":
         self._check(other)
-        d: dict = {}
+        d: dict = {}  # keyed (b, a), so sorting the keys gives the term order
         for (a1, b1), c1 in self.terms:
             for (a2, b2), c2 in other.terms:
-                k = (a1 + a2, b1 + b2)
+                k = (b1 + b2, a1 + a2)
                 prod = c1 * c2
-                if k in d:
-                    d[k] = d[k] + prod
-                else:
-                    d[k] = prod
-        return Local2DElement.from_dict(self.field, d)
+                d[k] = d[k] + prod if k in d else prod
+        return Local2DElement(self.field, tuple(
+            ((a, b), c) for (b, a), c in sorted(d.items()) if c))
 
     def ord_t(self) -> int:
         """Minimal t-exponent carrying a nonzero term; undefined for zero."""
@@ -148,7 +171,7 @@ class Local2DElement:
 
     def t_slice(self, b: int) -> LaurentPoly:
         """Coefficient of t^b as a Laurent polynomial in u."""
-        return LaurentPoly.from_dict(self.field, {a: c for (a, bb), c in self.terms if bb == b})
+        return LaurentPoly(self.field, tuple((a, c) for (a, bb), c in self.terms if bb == b))
 
     def to_json(self, component: Union[int, None] = None) -> dict:
         obj = {"terms": [[a, b, self.field.format(c)] for (a, b), c in self.terms]}
@@ -158,8 +181,9 @@ class Local2DElement:
 
     @staticmethod
     def from_json(obj: dict, field: Field) -> "Local2DElement":
-        return Local2DElement.from_dict(
-            field, {(int(a), int(b)): field.scalar(c) for a, b, c in obj["terms"]})
+        return Local2DElement.from_dict(field, {
+            (json_int(a, "exponent"), json_int(b, "exponent")): field.scalar(c)
+            for a, b, c in obj["terms"]})
 
 
 def l2_add(x: Local2DElement, y: Local2DElement) -> Local2DElement:
@@ -190,9 +214,8 @@ class TruncationResult(NamedTuple):
 
 def truncate(x: Local2DElement, w: Window2D) -> TruncationResult:
     """Drop the terms outside the window and record whether anything was lost."""
-    kept = {k: c for k, c in x.terms if w.contains(*k)}
-    return TruncationResult(Local2DElement.from_dict(x.field, kept),
-                            len(kept) != len(x.terms))
+    kept = tuple((k, c) for k, c in x.terms if w.contains(*k))
+    return TruncationResult(Local2DElement(x.field, kept), len(kept) != len(x.terms))
 
 
 def support_radius(x: Local2DElement) -> int:

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence, Union
 
 from . import _linalg
-from .errors import (ConfigError, NotCocompactError, RangeViolationError,
-                     SupportViolationError, WindowMismatchError,
-                     WindowTooSmallError)
+from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
+                     RangeViolationError, SupportViolationError,
+                     WindowMismatchError, WindowTooSmallError)
 from .fredholm import (Verdict, WindowedSubspace, direct_sum,
                        fredholm_index, membership)
 from .local2d import Local2DElement, Window2D, l2_mul, ord_t_vector
-from .series import Field
+from .series import Field, LaurentPoly, json_int
 
 
 def as_vector(x, r: int) -> tuple:
@@ -94,14 +94,14 @@ class LayeredSubspace:
     @staticmethod
     def from_json(obj: dict, window: Window2D, fld: Field) -> "LayeredSubspace":
         levels = tuple(
-            (entry["b"], WindowedSubspace.from_json(entry["space"], fld))
+            (json_int(entry["b"], "level b"), WindowedSubspace.from_json(entry["space"], fld))
             for entry in obj["levels"]
         )
         generators = tuple(
             tuple(Local2DElement.from_json(e, fld) for e in vec)
             for vec in obj["generators"]
         )
-        return LayeredSubspace(fld, obj["r"], window, levels, generators)
+        return LayeredSubspace(fld, json_int(obj["r"], "rank r"), window, levels, generators)
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,13 @@ class SchurPair:
     def from_json(obj: dict) -> "SchurPair":
         fld = Field.from_tag(obj["field"])
         window = Window2D.from_json(obj["window"])
+        meta = obj.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ConfigError(f"pair meta {meta!r} is not a JSON object")
         return SchurPair(
             LayeredSubspace.from_json(obj["A"], window, fld),
             LayeredSubspace.from_json(obj["W"], window, fld),
-            dict(obj.get("meta", {})),
+            dict(meta),
         )
 
 
@@ -156,11 +159,18 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
     certified level-b representative is subtracted and reduction continues on
     the strictly higher t-order part.  Reaching the distrusted top margin with
     a nonzero remainder is Inconclusive.
+
+    Components are canonical (see ``Local2DElement``), so with b the least
+    t-order, the t^b slice of a component is the leading block of its terms.
+    The slice and its lift t^b * slice are built from that block as they
+    are, with no coefficient coerced again.
     """
     w = L.window
     vec = as_vector(x, L.r)
     for comp in vec:
-        for (a, b) in comp.support():
+        if comp.field is not L.field and comp.field != L.field:
+            raise FieldMismatchError(f"{comp.field.tag} vs {L.field.tag}")
+        for (a, b), _c in comp.terms:
             if not w.contains(a, b):
                 raise SupportViolationError(f"term u^{a} t^{b} outside the window")
     rem = list(vec)
@@ -168,13 +178,19 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
         b = ord_t_vector(rem)
         if b >= w.t_trusted_hi:
             return Verdict.INCONCLUSIVE
-        slice_vec = tuple(x.t_slice(b) for x in rem)
+        blocks = []
+        for comp in rem:
+            n = 0
+            for (_a, bb), _c in comp.terms:
+                if bb != b:
+                    break
+                n += 1
+            blocks.append(comp.terms[:n])
+        slice_vec = tuple(LaurentPoly(L.field, tuple((a, c) for (a, _), c in block))
+                          for block in blocks)
         if membership(L.level(b), slice_vec) is Verdict.NOT_IN:
             return Verdict.NOT_IN
-        lift = tuple(
-            Local2DElement.from_dict(L.field, {(e, b): c for e, c in poly.coeffs})
-            for poly in slice_vec
-        )
+        lift = tuple(Local2DElement(L.field, block) for block in blocks)
         rem = [rem_c - lift_c for rem_c, lift_c in zip(rem, lift)]
     return Verdict.IN
 

@@ -19,6 +19,13 @@ from .errors import ConfigError, FieldMismatchError, ZeroOrderError
 MAX_PRIME = 2 ** 31
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, else ConfigError; a bool is not one."""
+    if type(value) is not int:
+        raise ConfigError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -61,7 +68,7 @@ class Field:
         is already rounded, and 0.5 would become 0 in F_7.
         """
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"{value.field.tag} vs {self.tag}")
             return value
         if isinstance(value, str):
@@ -120,7 +127,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(f"{self.field.tag} vs {other.field.tag}")
             return other
         return self.field.scalar(other)
@@ -260,7 +267,8 @@ class LaurentPoly:
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
         field = Field.from_tag(obj["field"])
-        return LaurentPoly.from_dict(field, {int(e): field.scalar(c) for e, c in obj["coeffs"]})
+        return LaurentPoly.from_dict(
+            field, {json_int(e, "exponent"): field.scalar(c) for e, c in obj["coeffs"]})
 
 
 def lp_add(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:

@@ -9,6 +9,7 @@ echelon engine.
 
 from __future__ import annotations
 
+from ribbonlab.local2d import Local2DElement
 from ribbonlab.series import Field, LaurentPoly
 
 
@@ -55,6 +56,33 @@ def row_scan_reduce(v: dict, basis: list) -> dict:
                 else:
                     del v[k]
     return v
+
+
+def local2d_reference(x: Local2DElement, y: Local2DElement, op: str) -> Local2DElement:
+    """x + y, x - y or x * y on plain dicts of int/Fraction values.
+
+    Reference for ``Local2DElement``'s arithmetic: the coefficient values are
+    combined as Python numbers, never as Scalars, and ``from_dict`` then
+    reduces, drops zeros and sorts.  Both inputs must share a field.
+    """
+    d: dict = {}
+    if op == "*":
+        for (a1, b1), c1 in x.terms:
+            for (a2, b2), c2 in y.terms:
+                k = (a1 + a2, b1 + b2)
+                d[k] = d.get(k, 0) + c1.value * c2.value
+    else:
+        sign = -1 if op == "-" else 1
+        for k, c in x.terms:
+            d[k] = c.value
+        for k, c in y.terms:
+            d[k] = d.get(k, 0) + sign * c.value
+    return Local2DElement.from_dict(x.field, d)
+
+
+def t_slice_reference(x: Local2DElement, b: int) -> LaurentPoly:
+    """The t^b coefficient of x, gathered into a dict and rebuilt by ``from_dict``."""
+    return LaurentPoly.from_dict(x.field, {a: c.value for (a, bb), c in x.terms if bb == b})
 
 
 def _dense_basis(r: int, u_lo: int, u_hi: int):

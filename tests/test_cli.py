@@ -294,6 +294,22 @@ def test_check_malformed_pair_exits_3(pair_path, tmp_path, capsys, path, value):
     assert usage_error(capsys, "check", str(bad)) == 3
 
 
+A_LEVEL = ["A", "levels", 0, "space"]
+MISTYPED = [
+    (A_GEN + [0, "terms", 0, 0], 0.5), (A_GEN + [0, "terms", 0, 0], "1"),
+    (A_LEVEL + ["rows", 0, 0, "coeffs", 0, 0], True), (A_LEVEL + ["u_lo"], -8.0),
+    (A_LEVEL + ["full_below"], "no"), (["meta"], ["ab"]),
+]
+
+
+@pytest.mark.parametrize("path,value", MISTYPED, ids=lambda v: json.dumps(v))
+def test_check_mistyped_pair_exits_3(pair_path, tmp_path, capsys, path, value):
+    # each value has a JSON type that int(), == or dict() would once have let through
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(set_path(load(pair_path), path, value)))
+    assert usage_error(capsys, "check", str(bad)) == 3
+
+
 def test_malformed_pair_error_names_the_file(tmp_path, capsys):
     bad = tmp_path / "top-level-list.json"
     bad.write_text("[1]")

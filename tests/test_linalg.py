@@ -22,6 +22,8 @@ def test_reduce_vector_matches_row_scan(field, rows, extra, multiples):
     for row, m in zip(basis, multiples):
         v = _linalg.row_sub(v, _linalg.row_scale(row, field.scalar(m)))
     pivots = {min(row): row for row in basis}
+    before = dict(v)
     rem = _linalg.reduce_vector(v, pivots)
+    assert v == before
     assert rem == row_scan_reduce(v, basis)
     assert all(rem.values()) and not set(rem) & set(pivots)

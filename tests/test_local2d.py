@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import local2d_reference, t_slice_reference
 from ribbonlab.errors import ConfigError, FieldMismatchError, ZeroOrderError
 from ribbonlab.local2d import (Local2DElement, Window2D, l2_add, l2_mul,
                                ord_t, ord_t_vector, random_local2d,
                                support_radius, truncate)
-from ribbonlab.series import QQ, Field
+from ribbonlab.series import QQ, Field, Scalar
 
 F5 = Field(5)
 
@@ -140,3 +143,54 @@ def test_json_sorted_by_b_then_a():
     assert [(a, b) for a, b, _ in obj["terms"]] == [(0, -1), (2, -1), (-3, 0)]
     assert Local2DElement.from_json(obj, QQ) == x
     assert x.to_json(component=2)["component"] == 2
+
+
+F31, F_MERSENNE = Field(31), Field(2 ** 31 - 1)
+# small keys and small values, so sums and differences cancel often; over
+# F_31 the values also wrap, so 16 + 15 is zero there
+KEYS_2D = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+VALUES = {
+    QQ: st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    F31: st.integers(-40, 40),
+    F_MERSENNE: st.sampled_from([-2, -1, 1, 2, 2 ** 31 - 2, 2 ** 30]),
+}
+
+
+def elements(field):
+    return st.dictionaries(KEYS_2D, VALUES[field], max_size=6).map(
+        lambda d: Local2DElement.from_dict(field, d))
+
+
+def assert_canonical(terms, field):
+    """Strictly increasing keys, no zero coefficient, every coefficient in ``field``."""
+    keys = [k for k, _ in terms]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    assert all(type(c) is Scalar and c and c.field == field for _, c in terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), field=st.sampled_from([QQ, F31, F_MERSENNE]), b=st.integers(-2, 2))
+def test_ops_match_dict_reference_and_stay_canonical(data, field, b):
+    x, y = data.draw(elements(field)), data.draw(elements(field))
+    for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
+        assert got == local2d_reference(x, y, op)
+        assert_canonical([((bb, a), c) for (a, bb), c in got.terms], field)
+    got = x.t_slice(b)
+    assert got == t_slice_reference(x, b)
+    assert_canonical(got.coeffs, field)
+
+
+def test_separately_built_equal_fields_combine():
+    f7a, f7b = Field(7), Field(7)
+    assert f7a is not f7b
+    x = Local2DElement.from_dict(f7a, {(0, 0): 3, (1, 0): 5})
+    y = Local2DElement.from_dict(f7b, {(0, 0): 4, (0, 1): 2})
+    for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
+        assert got == local2d_reference(x, y, op)
+    assert x + y == Local2DElement.from_dict(f7a, {(1, 0): 5, (0, 1): 2})
+    f11 = Local2DElement.from_dict(Field(11), {(0, 0): 1})
+    for op in (l2_add, l2_mul, lambda p, q: p - q):
+        with pytest.raises(FieldMismatchError):
+            op(x, f11)
+        with pytest.raises(FieldMismatchError):
+            op(f11, x)

@@ -2,20 +2,20 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from oracles import brute_membership, random_windowed_rows
-from ribbonlab.errors import (ConfigError, RangeViolationError,
-                              SupportViolationError, WindowMismatchError,
-                              WindowTooSmallError)
-from ribbonlab.fredholm import Verdict, echelonize, pivot_profile
+from ribbonlab.errors import (ConfigError, FieldMismatchError,
+                              RangeViolationError, SupportViolationError,
+                              WindowMismatchError, WindowTooSmallError)
+from ribbonlab.fredholm import Verdict, echelonize, membership, pivot_profile
 from ribbonlab.geometry import make_datum, forward_krichever
-from ribbonlab.local2d import Local2DElement, Window2D
+from ribbonlab.local2d import Local2DElement, Window2D, ord_t_vector
 from ribbonlab.schur import (LayeredSubspace, SchurPair, _merge, _route_check,
                              check_schur_pair, graded_slice, hilbert_function,
                              layered_membership, pair_equal_in_window,
                              point_ideal_check, scalar_times_vector)
-from ribbonlab.series import QQ, LaurentPoly
+from ribbonlab.series import QQ, Field, LaurentPoly
 
 W_AC = Window2D(-4, 4, -8, 8, 2, 2)
 
@@ -429,3 +429,79 @@ def test_route_check_matches_two_pass_route(case):
                                                   and w.t_lo <= b < w.t_trusted_hi})
                     for x in vec)
     assert layered_membership(L, trusted) is not Verdict.INCONCLUSIVE
+
+
+def lift_and_subtract(L, vec):
+    """Reference for layered_membership: its loop as first written.
+
+    Each step gathers the t^b slice into a dict, lifts it back to t^b with
+    ``from_dict`` and subtracts it on dicts, rebuilding the remainder with
+    ``from_dict``.
+    """
+    w = L.window
+    rem = list(vec)
+    while any(rem):
+        b = ord_t_vector(rem)
+        if b >= w.t_trusted_hi:
+            return Verdict.INCONCLUSIVE
+        slice_vec = tuple(LaurentPoly.from_dict(L.field, {a: c for (a, bb), c in x.terms
+                                                          if bb == b})
+                          for x in rem)
+        if membership(L.level(b), slice_vec) is Verdict.NOT_IN:
+            return Verdict.NOT_IN
+        lift = [Local2DElement.from_dict(L.field, {(e, b): c for e, c in poly.coeffs})
+                for poly in slice_vec]
+        diffs = []
+        for x, y in zip(rem, lift):
+            d = x.as_dict()
+            for k, c in y.terms:
+                d[k] = d[k] - c if k in d else -c
+            diffs.append(Local2DElement.from_dict(L.field, d))
+        rem = diffs
+    return Verdict.IN
+
+
+@settings(max_examples=300, deadline=None)
+@given(layered_and_vector())
+def test_layered_membership_matches_lift_and_subtract(case):
+    L, vec = case
+    w = L.window
+    # the terms inside the window: margin terms make some verdicts inconclusive
+    inside = tuple(Local2DElement.from_dict(QQ, {k: c for k, c in x.terms if w.contains(*k)})
+                   for x in vec)
+    verdict = layered_membership(L, inside)
+    event(verdict.value)
+    assert verdict is lift_and_subtract(L, inside)
+
+
+def test_layered_membership_coerces_nothing(monkeypatch):
+    fp = Field(2 ** 31 - 1)
+    w = Window2D(-2, 4, -4, 4, 1, 1)
+
+    def poly(d):
+        return LaurentPoly.from_dict(fp, d)
+
+    levels = tuple((b, echelonize([(poly({-2: 1, 0: 5}),), (poly({-1: 3, 1: -1}),)],
+                                  1, w.u_lo, w.u_hi, True, field=fp))
+                   for b in range(w.t_lo, w.t_hi))
+    L = LayeredSubspace(fp, 1, w, levels, ())
+    x = Local2DElement.from_dict(fp, {(-2, 0): 2, (0, 0): 10, (-1, 1): 6, (1, 1): -2})
+    calls = {"from_dict": 0, "scalar": 0}
+    from_dict, scalar = Local2DElement.from_dict, Field.scalar
+
+    def counting_from_dict(field, d):
+        calls["from_dict"] += 1
+        return from_dict(field, d)
+
+    def counting_scalar(self, value):
+        calls["scalar"] += 1
+        return scalar(self, value)
+
+    monkeypatch.setattr(Local2DElement, "from_dict", staticmethod(counting_from_dict))
+    monkeypatch.setattr(Field, "scalar", counting_scalar)
+    assert layered_membership(L, x) is Verdict.IN
+    assert calls == {"from_dict": 0, "scalar": 0}
+    monkeypatch.undo()
+    assert lift_and_subtract(L, (x,)) is Verdict.IN
+    with pytest.raises(FieldMismatchError):
+        layered_membership(L, Local2DElement.from_dict(Field(7), {(0, 0): 1}))
