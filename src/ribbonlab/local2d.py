@@ -84,9 +84,9 @@ class Local2DElement:
     def from_dict(field: Field, d: dict) -> "Local2DElement":
         items = []
         for (a, b), c in d.items():
-            c = field.scalar(c)
+            k, c = (json_int(a, "exponent"), json_int(b, "exponent")), field.scalar(c)
             if c:
-                items.append(((int(a), int(b)), c))
+                items.append((k, c))
         items.sort(key=lambda kc: (kc[0][1], kc[0][0]))
         return Local2DElement(field, tuple(items))
 

@@ -1,10 +1,10 @@
 """Exact scalars over Q or a prime field F_p, and Laurent polynomials in one variable u.
 
-Everything here is exact and immutable: rationals are arbitrary-precision
-fractions, prime-field elements are residues, and a Laurent polynomial is a
-finite sorted map exponent -> nonzero scalar.  The zero polynomial is the
-empty map, and asking for the order of zero raises instead of returning a
-sentinel.
+Everything here is exact and immutable: a rational is a Python int when it
+is integral and an arbitrary-precision Fraction otherwise, prime-field
+elements are residues, and a Laurent polynomial is a finite sorted map
+exponent -> nonzero scalar.  The zero polynomial is the empty map, and
+asking for the order of zero raises instead of returning a sentinel.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ConfigError(f"{what} {value!r} is not an integer")
     return value
+
+
+def _rational(v):
+    """A rational value in stored form: an integral Fraction becomes its int."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 def _is_prime(p: int) -> bool:
@@ -64,8 +69,11 @@ class Field:
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction or coefficient string into this field.
 
-        Anything else, a float or a bool included, is a ConfigError: a float
-        is already rounded, and 0.5 would become 0 in F_7.
+        Over Q the value is stored as an int when it is integral (``4``,
+        ``Fraction(4, 2)``, ``"4/2"``) and as a Fraction otherwise.  Over F_p
+        a fraction whose denominator is divisible by p has no value and is a
+        ConfigError.  Anything else, a float or a bool included, is a
+        ConfigError: a float is already rounded, and 0.5 would become 0 in F_7.
         """
         if isinstance(value, Scalar):
             if value.field is not self and value.field != self:
@@ -76,10 +84,12 @@ class Field:
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise ConfigError(f"coefficient {value!r} is not an integer, fraction or string")
         if self.p is None:
-            return Scalar(self, Fraction(value))
+            return Scalar(self, _rational(value) if isinstance(value, Fraction) else int(value))
         if isinstance(value, Fraction):
             num = value.numerator % self.p
             den = value.denominator % self.p
+            if den == 0:
+                raise ConfigError(f"coefficient {value} has a denominator divisible by {self.p}")
             return Scalar(self, num * pow(den, -1, self.p) % self.p)
         return Scalar(self, int(value) % self.p)
 
@@ -120,7 +130,13 @@ def _field_from_tag(tag: str) -> Field:
 
 @dataclass(frozen=True)
 class Scalar:
-    """Exact field element; arithmetic never leaves the field and never rounds."""
+    """Exact field element; arithmetic never leaves the field and never rounds.
+
+    Over Q ``value`` is an int exactly when the element is integral and a
+    Fraction otherwise, never a float; every operator keeps that form, so
+    equal elements have equal values and equal hashes.  Over F_p ``value``
+    is the residue in [0, p).
+    """
 
     field: Field
     value: Union[Fraction, int]
@@ -134,42 +150,36 @@ class Scalar:
 
     def __add__(self, other):
         other = self._coerce(other)
-        v = self.value + other.value
-        if self.field.p is not None:
-            v %= self.field.p
-        return Scalar(self.field, v)
+        v, p = self.value + other.value, self.field.p
+        return Scalar(self.field, _rational(v) if p is None else v % p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        v = self.value - other.value
-        if self.field.p is not None:
-            v %= self.field.p
-        return Scalar(self.field, v)
+        v, p = self.value - other.value, self.field.p
+        return Scalar(self.field, _rational(v) if p is None else v % p)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        v = self.value * other.value
-        if self.field.p is not None:
-            v %= self.field.p
-        return Scalar(self.field, v)
+        v, p = self.value * other.value, self.field.p
+        return Scalar(self.field, _rational(v) if p is None else v % p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Exact quotient; over Q it goes through Fraction, so int / int never gives a float."""
         other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero scalar")
-        if self.field.p is None:
-            return Scalar(self.field, self.value / other.value)
-        return Scalar(self.field, self.value * pow(other.value, -1, self.field.p) % self.field.p)
+        p = self.field.p
+        if p is None:
+            return Scalar(self.field, _rational(Fraction(self.value, other.value)))
+        return Scalar(self.field, self.value * pow(other.value, -1, p) % p)
 
     def __neg__(self):
-        v = -self.value
-        if self.field.p is not None:
-            v %= self.field.p
-        return Scalar(self.field, v)
+        p = self.field.p
+        return Scalar(self.field, -self.value if p is None else -self.value % p)
 
     def inverse(self) -> "Scalar":
         return self.field.one / self
@@ -192,9 +202,9 @@ class LaurentPoly:
     def from_dict(field: Field, d: dict) -> "LaurentPoly":
         items = []
         for e, c in d.items():
-            c = field.scalar(c)
+            e, c = json_int(e, "exponent"), field.scalar(c)
             if c:
-                items.append((int(e), c))
+                items.append((e, c))
         items.sort(key=lambda ec: ec[0])
         return LaurentPoly(field, tuple(items))
 

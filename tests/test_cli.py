@@ -86,6 +86,19 @@ def test_check_zero_denominator_coefficient(pair_path, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_check_fp_denominator_divisible_by_p(tmp_path, capsys):
+    out = tmp_path / "pair.json"
+    assert run("build", "p2-line", "--field", "Fp:7", "--out", str(out)) == 0
+    obj = load(out)
+    obj["A"]["generators"][0][0]["terms"][0][2] = "1/7"
+    bad = tmp_path / "den-7.json"
+    bad.write_text(json.dumps(obj))
+    assert run("check", str(bad)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1/7" in err and "divisible by 7" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("where", ["pair", "poly"])
 @pytest.mark.parametrize("tag", [5, ["Q"]], ids=["int", "list"])
 def test_check_non_string_field_tag(pair_path, tmp_path, capsys, where, tag):

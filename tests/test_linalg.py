@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
-from oracles import row_scan_reduce
+from oracles import dense_rank, row_scan_reduce
 from ribbonlab import _linalg
 from ribbonlab.series import QQ, Field
 
@@ -27,3 +29,22 @@ def test_reduce_vector_matches_row_scan(field, rows, extra, multiples):
     assert v == before
     assert rem == row_scan_reduce(v, basis)
     assert all(rem.values()) and not set(rem) & set(pivots)
+
+
+def test_echelon_over_q_stores_integral_values_as_ints():
+    # integer rows whose pivots are +-2 and +-3, so elimination divides
+    matrix = [
+        [2, 1, 0, 3, -1],
+        [-3, 0, 2, 1, 4],
+        [0, 3, -1, 0, 2],
+        [0, 0, -2, 5, 1],
+        [4, 2, 0, 6, -2],   # twice the first row
+        [-1, 4, 1, 4, 5],   # sum of the first three rows
+    ]
+    rows = [{c: QQ.scalar(x) for c, x in enumerate(r) if x} for r in matrix]
+    basis = _linalg.echelon(rows)
+    assert len(basis) == dense_rank([[Fraction(x) for x in r] for r in matrix]) == 4
+    values = [c.value for row in basis for c in row.values()]
+    assert any(type(x) is int for x in values) and any(type(x) is Fraction for x in values)
+    for x in values:
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)

@@ -194,3 +194,11 @@ def test_separately_built_equal_fields_combine():
             op(x, f11)
         with pytest.raises(FieldMismatchError):
             op(f11, x)
+
+
+@pytest.mark.parametrize("key", [(0.5, 0), (1.7, True), ("3", 0), (0, 1.0)])
+def test_from_dict_rejects_non_integer_exponents(key):
+    with pytest.raises(ConfigError, match="exponent"):
+        Local2DElement.from_dict(QQ, {key: 1})
+    with pytest.raises(ConfigError, match="exponent"):
+        Local2DElement.monomial(QQ, *key)

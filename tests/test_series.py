@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ribbonlab.errors import ConfigError, FieldMismatchError, ZeroOrderError
 from ribbonlab.series import QQ, Field, LaurentPoly, lp_add, lp_mul, lp_ord, random_laurent
@@ -130,3 +132,67 @@ def test_json_roundtrip_and_format():
 def test_coeffs_sorted_ascending():
     x = lp(QQ, {5: 1, -1: 1, 2: 1})
     assert [e for e, _ in x.coeffs] == [-1, 2, 5]
+
+
+def test_fp_fraction_with_denominator_divisible_by_p():
+    for value in ("1/7", "3/14", Fraction(2, 21)):
+        with pytest.raises(ConfigError, match="divisible by 7"):
+            F7.scalar(value)
+    with pytest.raises(ConfigError, match="1/7"):
+        F7.scalar("1/7")
+    assert F7.scalar("7/14") == F7.scalar(4)  # 1/2 in lowest terms
+    assert QQ.scalar("1/7").value == Fraction(1, 7)
+
+
+@pytest.mark.parametrize("d", [{0.5: 1}, {"3": 1}, {True: 1}, {1.0: 0}])
+def test_from_dict_rejects_non_integer_exponents(d):
+    with pytest.raises(ConfigError, match="exponent"):
+        LaurentPoly.from_dict(QQ, d)
+
+
+def test_monomial_rejects_non_integer_exponent():
+    with pytest.raises(ConfigError):
+        LaurentPoly.monomial(QQ, 0.5)
+
+
+# Over Q a scalar's value is an int exactly when it is integral.
+INTEGRAL = st.integers(-10 ** 6, 10 ** 6)
+RATIONAL = st.one_of(INTEGRAL, INTEGRAL.map(Fraction),
+                     st.fractions(min_value=-10 ** 3, max_value=10 ** 3, max_denominator=60))
+
+
+def assert_canonical(s, expected: Fraction):
+    assert s.field is QQ and s.value == expected
+    assert type(s.value) is (int if expected.denominator == 1 else Fraction)
+    assert str(s) == f"{expected.numerator}/{expected.denominator}"
+    assert s == QQ.scalar(expected) and hash(s) == hash(QQ.scalar(expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=RATIONAL, y=RATIONAL, k=st.integers(1, 9))
+@example(x=6, y=3, k=2)  # integral quotient
+@example(x=Fraction(1, 2), y=Fraction(1, 2), k=1)  # integral sum
+@example(x=Fraction(4, 3), y=Fraction(3, 2), k=1)  # integral product
+@example(x=1, y=0, k=1)
+def test_rational_scalars_match_fraction_arithmetic(x, y, k):
+    fx, fy = Fraction(x), Fraction(y)
+    a, b = QQ.scalar(x), QQ.scalar(y)
+    assert_canonical(a, fx)
+    # strings, reduced or not, and integral fractions coerce to the same scalar
+    assert_canonical(QQ.scalar(f"{fx.numerator * k}/{fx.denominator * k}"), fx)
+    assert_canonical(QQ.scalar(Fraction(fx.numerator * k, fx.denominator * k)), fx)
+    if fx.denominator == 1:
+        assert_canonical(QQ.scalar(str(fx.numerator)), fx)
+    assert_canonical(a + b, fx + fy)
+    assert_canonical(a - b, fx - fy)
+    assert_canonical(a * b, fx * fy)
+    assert_canonical(a + y, fx + fy)
+    assert_canonical(y * a, fx * fy)
+    assert_canonical(-a, -fx)
+    if fy:
+        assert_canonical(a / b, fx / fy)
+        assert_canonical(b.inverse(), 1 / fy)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
