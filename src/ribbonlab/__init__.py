@@ -23,13 +23,13 @@ from .geometry import (EVEN_VARIANT, KINDS, NILPOTENT, NODAL_CUBIC, P2_LINE,
                        OrderGroupReport, RibbonAxiomReport, forward_krichever,
                        level_index_table, make_datum, noncoherent_chain,
                        order_group, validate_ribbon_axioms)
-from .local2d import (Local2DElement, TruncationResult, Window2D, l2_add,
-                      l2_mul, ord_t, ord_t_vector, truncate)
+from .local2d import (Local2DElement, TruncationResult, Window2D,
+                      ord_t_vector, truncate)
 from .schur import (LayeredSubspace, PointIdealReport, SchurPair, SchurReport,
                     check_schur_pair, graded_slice, hilbert_function,
                     layered_membership, pair_equal_in_window,
                     point_ideal_check)
-from .series import QQ, Field, LaurentPoly, Scalar, lp_add, lp_mul, lp_ord
+from .series import QQ, Field, LaurentPoly, Scalar
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

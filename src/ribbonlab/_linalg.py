@@ -87,7 +87,3 @@ def reduce_vector(v: dict, pivots: dict) -> dict:
 
 def rank(rows) -> int:
     return len(echelon(rows))
-
-
-def pivot_keys(basis: list) -> list:
-    return [min(row) for row in basis]

@@ -148,7 +148,15 @@ def _cmd_check(args) -> int:
     text = json.dumps(obj, sort_keys=True, indent=2)
     if args.report:
         _write_text(args.report, text)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: the verdict still sets the exit code, and
+        # stdout goes to devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
             "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
 

@@ -59,9 +59,14 @@ class WindowedSubspace:
         return [dict(row) for row in self.rows]
 
     @functools.cached_property
+    def pivots(self) -> tuple:
+        """Pivot key of each row in order; a stored row's first key is its pivot."""
+        return tuple(row[0][0] for row in self.rows)
+
+    @functools.cached_property
     def pivot_rows(self) -> dict:
-        """{pivot key: row dict}; a stored row's first key is its pivot."""
-        return {row[0][0]: dict(row) for row in self.rows}
+        """{pivot key: row dict}."""
+        return dict(zip(self.pivots, self.row_dicts()))
 
     def row_vectors(self) -> list:
         return [_row_to_vector(row, self.r, self.field) for row in self.rows]
@@ -136,7 +141,7 @@ def membership(W: WindowedSubspace, vec: Sequence[LaurentPoly]) -> Verdict:
 
 def pivot_profile(W: WindowedSubspace) -> frozenset:
     """Set of (component, exponent) pivot pairs, components numbered from 1."""
-    return frozenset((c + 1, e) for (e, c) in _linalg.pivot_keys(W.row_dicts()))
+    return frozenset((c + 1, e) for (e, c) in W.pivots)
 
 
 def fredholm_index(W: WindowedSubspace, top_margin: int = 0) -> int:
@@ -152,16 +157,15 @@ def fredholm_index(W: WindowedSubspace, top_margin: int = 0) -> int:
     if not (W.u_lo <= 0 < W.u_hi):
         raise WindowTooSmallError(
             "index against k[[u]]^r needs the window to straddle exponent 0")
-    pivots = _linalg.pivot_keys(W.row_dicts())
-    for (e, _c) in pivots:
+    for (e, _c) in W.pivots:
         if e >= W.u_hi - top_margin:
             raise WindowTooSmallError(
                 f"pivot exponent {e} touches the top margin [{W.u_hi - top_margin}, {W.u_hi})")
     # exponent-major reduced echelon: a combination lies in F+ iff every
     # contributing row has pivot exponent >= 0, so both dimensions read off
     # the pivot profile.
-    nonneg = sum(1 for (e, _c) in pivots if e >= 0)
-    neg = len(pivots) - nonneg
+    nonneg = sum(1 for (e, _c) in W.pivots if e >= 0)
+    neg = len(W.pivots) - nonneg
     neg_window = W.r * max(0, min(0, W.u_hi) - W.u_lo)
     return nonneg - (neg_window - neg)
 

@@ -277,8 +277,7 @@ def _validate_layered(g: GeometricDatum, layer: LayeredSubspace) -> RibbonAxiomR
     bad = []
     for b in range(w.t_lo, w.t_hi):
         lvl = layer.level(b)
-        pivots = _linalg.pivot_keys(lvl.row_dicts())
-        bounded = all(e < w.u_trusted_hi for (e, _c) in pivots)
+        bounded = all(e < w.u_trusted_hi for (e, _c) in lvl.pivots)
         if not (lvl.full_below and bounded):
             bad.append(b)
     return RibbonAxiomReport(unit, counts["not-in"] == 0, counts["in"], counts["vanished"],

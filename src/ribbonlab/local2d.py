@@ -33,7 +33,7 @@ class Window2D:
             raise ConfigError("window bounds must satisfy t_lo < t_hi and u_lo < u_hi")
         if self.m_t < 0 or self.m_u < 0:
             raise ConfigError("margins must be nonnegative")
-        if not (self.m_t < (self.t_hi - self.t_lo) / 2 and self.m_u < (self.u_hi - self.u_lo) / 2):
+        if not (2 * self.m_t < self.t_hi - self.t_lo and 2 * self.m_u < self.u_hi - self.u_lo):
             raise ConfigError("margins must stay below half the window width")
 
     def contains(self, a: int, b: int) -> bool:
@@ -52,10 +52,6 @@ class Window2D:
         return Window2D(self.t_lo + self.m_t, self.t_hi - self.m_t,
                         self.u_lo + self.m_u, self.u_hi - self.m_u, 0, 0)
 
-    def enlarged(self, radius: int) -> "Window2D":
-        return Window2D(self.t_lo - radius, self.t_hi + radius,
-                        self.u_lo - radius, self.u_hi + radius, self.m_t, self.m_u)
-
     def to_json(self) -> dict:
         return {"t_lo": self.t_lo, "t_hi": self.t_hi, "u_lo": self.u_lo,
                 "u_hi": self.u_hi, "m_t": self.m_t, "m_u": self.m_u}
@@ -72,23 +68,27 @@ class Local2DElement:
 
     Canonical means: terms strictly increasing in (b, a), no zero
     coefficient, and every coefficient a Scalar of ``field``.  Only
-    ``from_dict`` and ``from_json`` coerce (they are the input boundary); the
-    arithmetic, ``t_slice`` and ``truncate`` build their results directly
-    from canonical terms, so equal elements have equal ``terms``.
+    ``from_dict`` coerces, and ``from_json`` hands it the raw terms (together
+    they are the input boundary); the arithmetic, ``t_slice`` and
+    ``truncate`` build their results directly from canonical terms, so equal
+    elements have equal ``terms``.
     """
 
     field: Field
     terms: tuple = ()  # ((a, b), Scalar), sorted by (b, a)
 
     @staticmethod
-    def from_dict(field: Field, d: dict) -> "Local2DElement":
-        items = []
-        for (a, b), c in d.items():
-            k, c = (json_int(a, "exponent"), json_int(b, "exponent")), field.scalar(c)
-            if c:
-                items.append((k, c))
-        items.sort(key=lambda kc: (kc[0][1], kc[0][0]))
-        return Local2DElement(field, tuple(items))
+    def from_dict(field: Field, d) -> "Local2DElement":
+        """Coerce a dict or a list of ((a, b), coefficient) pairs; a key (a, b) may not repeat."""
+        items = {}
+        for (a, b), c in (d.items() if isinstance(d, dict) else d):
+            k = (json_int(a, "exponent"), json_int(b, "exponent"))
+            if k in items:
+                raise ConfigError(f"term u^{a} t^{b} is repeated")
+            items[k] = field.scalar(c)
+        terms = [(k, c) for k, c in items.items() if c]
+        terms.sort(key=lambda kc: (kc[0][1], kc[0][0]))
+        return Local2DElement(field, tuple(terms))
 
     @staticmethod
     def zero(field: Field) -> "Local2DElement":
@@ -101,12 +101,6 @@ class Local2DElement:
     @staticmethod
     def monomial(field: Field, a: int, b: int, coeff=1) -> "Local2DElement":
         return Local2DElement.from_dict(field, {(a, b): coeff})
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def support(self):
-        return tuple(k for k, _ in self.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -166,9 +160,6 @@ class Local2DElement:
             raise ZeroOrderError("ord_t of the zero element is undefined")
         return self.terms[0][0][1]
 
-    def t_levels(self):
-        return sorted({b for (_, b), _ in self.terms})
-
     def t_slice(self, b: int) -> LaurentPoly:
         """Coefficient of t^b as a Laurent polynomial in u."""
         return LaurentPoly(self.field, tuple((a, c) for (a, bb), c in self.terms if bb == b))
@@ -181,22 +172,7 @@ class Local2DElement:
 
     @staticmethod
     def from_json(obj: dict, field: Field) -> "Local2DElement":
-        return Local2DElement.from_dict(field, {
-            (json_int(a, "exponent"), json_int(b, "exponent")): field.scalar(c)
-            for a, b, c in obj["terms"]})
-
-
-def l2_add(x: Local2DElement, y: Local2DElement) -> Local2DElement:
-    return x + y
-
-
-def l2_mul(x: Local2DElement, y: Local2DElement) -> Local2DElement:
-    """Exact product of finite sums; ord_t(xy) = ord_t(x) + ord_t(y) for nonzero inputs."""
-    return x * y
-
-
-def ord_t(x: Local2DElement) -> int:
-    return x.ord_t()
+        return Local2DElement.from_dict(field, (((a, b), c) for a, b, c in obj["terms"]))
 
 
 def ord_t_vector(vec: Sequence[Local2DElement]) -> int:
@@ -216,21 +192,3 @@ def truncate(x: Local2DElement, w: Window2D) -> TruncationResult:
     """Drop the terms outside the window and record whether anything was lost."""
     kept = tuple((k, c) for k, c in x.terms if w.contains(*k))
     return TruncationResult(Local2DElement(x.field, kept), len(kept) != len(x.terms))
-
-
-def support_radius(x: Local2DElement) -> int:
-    return max((max(abs(a), abs(b)) for (a, b) in x.support()), default=0)
-
-
-def random_local2d(rng, field: Field, lo=-4, hi=4, max_terms=4) -> Local2DElement:
-    """Small random element, used by the property suites."""
-    from fractions import Fraction
-
-    d = {}
-    for _ in range(rng.randint(0, max_terms)):
-        key = (rng.randint(lo, hi), rng.randint(lo, hi))
-        if field.p is None:
-            d[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        else:
-            d[key] = rng.randint(0, field.p - 1)
-    return Local2DElement.from_dict(field, d)

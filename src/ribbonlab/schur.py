@@ -20,13 +20,12 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence, Union
 
-from . import _linalg
 from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
                      RangeViolationError, SupportViolationError,
                      WindowMismatchError, WindowTooSmallError)
 from .fredholm import (Verdict, WindowedSubspace, direct_sum,
                        fredholm_index, membership)
-from .local2d import Local2DElement, Window2D, l2_mul, ord_t_vector
+from .local2d import Local2DElement, Window2D, ord_t_vector
 from .series import Field, LaurentPoly, json_int
 
 
@@ -43,7 +42,7 @@ def as_vector(x, r: int) -> tuple:
 
 
 def scalar_times_vector(a: Local2DElement, vec: Sequence[Local2DElement]) -> tuple:
-    return tuple(l2_mul(a, x) for x in vec)
+    return tuple(a * x for x in vec)
 
 
 @dataclass(frozen=True)
@@ -399,8 +398,7 @@ def hilbert_function(L: LayeredSubspace, j: int, n: int) -> int:
         raise WindowTooSmallError(f"u-window does not accommodate exponents [-{n}, 0]")
     total = 0
     for b in range(j):
-        pivots = _linalg.pivot_keys(L.level(b).row_dicts())
-        total += sum(1 for (e, _c) in pivots if e >= -n)
+        total += sum(1 for (e, _c) in L.level(b).pivots if e >= -n)
     return total
 
 

@@ -199,32 +199,23 @@ class LaurentPoly:
     coeffs: tuple = ()
 
     @staticmethod
-    def from_dict(field: Field, d: dict) -> "LaurentPoly":
-        items = []
-        for e, c in d.items():
-            e, c = json_int(e, "exponent"), field.scalar(c)
-            if c:
-                items.append((e, c))
-        items.sort(key=lambda ec: ec[0])
-        return LaurentPoly(field, tuple(items))
+    def from_dict(field: Field, d) -> "LaurentPoly":
+        """Coerce a dict or a list of (exponent, coefficient) pairs; an exponent may not repeat."""
+        items = {}
+        for e, c in (d.items() if isinstance(d, dict) else d):
+            e = json_int(e, "exponent")
+            if e in items:
+                raise ConfigError(f"exponent {e} is repeated")
+            items[e] = field.scalar(c)
+        return LaurentPoly(field, tuple(sorted((e, c) for e, c in items.items() if c)))
 
     @staticmethod
     def zero(field: Field) -> "LaurentPoly":
         return LaurentPoly(field, ())
 
     @staticmethod
-    def one(field: Field) -> "LaurentPoly":
-        return LaurentPoly.monomial(field, 0)
-
-    @staticmethod
     def monomial(field: Field, exp: int, coeff=1) -> "LaurentPoly":
         return LaurentPoly.from_dict(field, {exp: coeff})
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    def support(self):
-        return tuple(e for e, _ in self.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -235,7 +226,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        d = self.as_dict()
+        d = dict(self.coeffs)
         for e, c in other.coeffs:
             if e in d:
                 d[e] = d[e] + c
@@ -276,33 +267,4 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
-        field = Field.from_tag(obj["field"])
-        return LaurentPoly.from_dict(
-            field, {json_int(e, "exponent"): field.scalar(c) for e, c in obj["coeffs"]})
-
-
-def lp_add(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-    """Coefficient-wise sum, canonicalized (zeros dropped)."""
-    return x + y
-
-
-def lp_mul(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-    """Convolution product; over a field ord(xy) = ord(x) + ord(y)."""
-    return x * y
-
-
-def lp_ord(x: LaurentPoly) -> int:
-    return x.ord()
-
-
-def random_laurent(rng, field: Field, exp_lo=-6, exp_hi=6, max_terms=4) -> LaurentPoly:
-    """Small random Laurent polynomial, used by the property suites."""
-    d = {}
-    for _ in range(rng.randint(0, max_terms)):
-        e = rng.randint(exp_lo, exp_hi)
-        if field.p is None:
-            d[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        else:
-            d[e] = rng.randint(0, field.p - 1)
-    return LaurentPoly.from_dict(field, d)
-
+        return LaurentPoly.from_dict(Field.from_tag(obj["field"]), obj["coeffs"])

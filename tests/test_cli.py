@@ -250,6 +250,25 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0 and out.exists()
 
 
+def test_check_exit_code_survives_a_closed_stdout(tmp_path):
+    # W with no rows fails every level; its report is far larger than a pipe
+    # buffer, so printing it runs into the pipe the reader closed
+    out = tmp_path / "pair.json"
+    assert run("build", "p2-line", "--t-lo", "-8", "--t-hi", "8", "--u-lo", "-16", "--u-hi", "16",
+               "--margin-t", "4", "--margin-u", "4", "--out", str(out)) == 0
+    obj = load(out)
+    for entry in obj["W"]["levels"]:
+        entry["space"]["rows"] = []
+    bad = tmp_path / "empty-w.json"
+    bad.write_text(json.dumps(obj))
+    with subprocess.Popen([sys.executable, "-m", "ribbonlab.cli", "check", str(bad)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+
+
 def test_exit_codes_deterministic(pair_path, capsys):
     assert run("check", str(pair_path)) == run("check", str(pair_path))
 
@@ -312,12 +331,15 @@ MISTYPED = [
     (A_GEN + [0, "terms", 0, 0], 0.5), (A_GEN + [0, "terms", 0, 0], "1"),
     (A_LEVEL + ["rows", 0, 0, "coeffs", 0, 0], True), (A_LEVEL + ["u_lo"], -8.0),
     (A_LEVEL + ["full_below"], "no"), (["meta"], ["ab"]),
+    (A_GEN + [0, "terms"], [[0, 0, "1"], [0, 0, "-1"]]),
+    (A_LEVEL + ["rows", 0, 0, "coeffs"], [[0, "1"], [0, "1"]]),
 ]
 
 
 @pytest.mark.parametrize("path,value", MISTYPED, ids=lambda v: json.dumps(v))
 def test_check_mistyped_pair_exits_3(pair_path, tmp_path, capsys, path, value):
-    # each value has a JSON type that int(), == or dict() would once have let through
+    # each value has a JSON type that int(), == or dict() would once have let through,
+    # or repeats an exponent whose last copy the loader once silently kept
     bad = tmp_path / "mistyped.json"
     bad.write_text(json.dumps(set_path(load(pair_path), path, value)))
     assert usage_error(capsys, "check", str(bad)) == 3

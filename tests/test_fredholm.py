@@ -114,6 +114,8 @@ def test_echelonize_idempotent_and_span_preserving(field):
         W = echelonize(rows, r, u_lo, u_lo + width, True, field=field)
         W2 = echelonize(W.row_vectors(), r, u_lo, u_lo + width, True, field=field)
         assert W.rows == W2.rows
+        assert W.pivots == tuple(min(dict(row)) for row in W.rows)
+        assert all(p < q for p, q in zip(W.pivots, W.pivots[1:]))
         for row in rows:
             assert membership(W, row) is Verdict.IN
 

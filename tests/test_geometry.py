@@ -5,14 +5,13 @@ import pytest
 from oracles import chi, section_monomial_allowed
 from ribbonlab.errors import (ConfigError, DegreeBoundError,
                               UnsupportedDatumError, WindowTooSmallError)
-from ribbonlab import _linalg
 from ribbonlab.fredholm import Verdict, echelonize, pivot_profile
 from ribbonlab.geometry import (PROJECTIVE_KINDS, NodalCubicRing,
                                 RibbonAxiomReport, _validate_layered,
                                 forward_krichever, level_index_table,
                                 make_datum, noncoherent_chain, order_group,
                                 validate_ribbon_axioms)
-from ribbonlab.local2d import Local2DElement, Window2D, ord_t
+from ribbonlab.local2d import Local2DElement, Window2D
 from ribbonlab.schur import (LayeredSubspace, _route_check, check_schur_pair,
                              layered_membership)
 from ribbonlab.series import QQ
@@ -167,14 +166,14 @@ def unrouted_axiom_scan(g, layer):
             prod = g.product(x, y)
             if not prod:
                 counts["vanished"] += 1
-            elif ord_t(prod) < ord_t(x) + ord_t(y):
+            elif prod.ord_t() < x.ord_t() + y.ord_t():
                 counts["not-in"] += 1
             else:
                 counts[_route_check(layer, (prod,))] += 1
     bad = []
     for b in range(w.t_lo, w.t_hi):
         lvl = layer.level(b)
-        pivots = _linalg.pivot_keys(lvl.row_dicts())
+        pivots = [min(row) for row in lvl.row_dicts()]
         if not (lvl.full_below and all(e < w.u_trusted_hi for (e, _c) in pivots)):
             bad.append(b)
     return RibbonAxiomReport(unit, counts["not-in"] == 0, counts["in"], counts["vanished"],

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import enlarged, random_local2d, support_radius
 from oracles import local2d_reference, t_slice_reference
 from ribbonlab.errors import ConfigError, FieldMismatchError, ZeroOrderError
-from ribbonlab.local2d import (Local2DElement, Window2D, l2_add, l2_mul,
-                               ord_t, ord_t_vector, random_local2d,
-                               support_radius, truncate)
+from ribbonlab.local2d import Local2DElement, Window2D, ord_t_vector, truncate
 from ribbonlab.series import QQ, Field, Scalar
 
 F5 = Field(5)
@@ -23,33 +22,33 @@ def mono(a, b, c=1):
 
 
 def test_mul_inverse_monomials():
-    assert l2_mul(mono(-1, 1), mono(1, -1)) == Local2DElement.one(QQ)
+    assert mono(-1, 1) * mono(1, -1) == Local2DElement.one(QQ)
 
 
 def test_mul_difference_of_squares():
     x = el(QQ, {(0, 0): 1, (0, 1): 1})
     y = el(QQ, {(0, 0): 1, (0, 1): -1})
-    assert l2_mul(x, y) == el(QQ, {(0, 0): 1, (0, 2): -1})
+    assert x * y == el(QQ, {(0, 0): 1, (0, 2): -1})
 
 
 def test_mul_square_convolution_oracle():
     x = el(QQ, {(-1, 1): 1, (-2, 2): 1})
     # oracle: 2D convolution by hand
     expect = {}
-    for (a1, b1), c1 in x.as_dict().items():
-        for (a2, b2), c2 in x.as_dict().items():
+    for (a1, b1), c1 in dict(x.terms).items():
+        for (a2, b2), c2 in dict(x.terms).items():
             k = (a1 + a2, b1 + b2)
             expect[k] = expect.get(k, 0) + c1 * c2
-    assert l2_mul(x, x) == el(QQ, expect)
-    assert l2_mul(x, x) == el(QQ, {(-2, 2): 1, (-3, 3): 2, (-4, 4): 1})
+    assert x * x == el(QQ, expect)
+    assert x * x == el(QQ, {(-2, 2): 1, (-3, 3): 2, (-4, 4): 1})
 
 
 def test_ord_t_examples():
-    assert ord_t(mono(-3, 2)) == 2
-    assert ord_t(el(QQ, {(0, -1): 1, (1, 3): 1})) == -1
-    assert ord_t(l2_mul(mono(-1, 1), mono(1, -1))) == 0
+    assert mono(-3, 2).ord_t() == 2
+    assert el(QQ, {(0, -1): 1, (1, 3): 1}).ord_t() == -1
+    assert (mono(-1, 1) * mono(1, -1)).ord_t() == 0
     with pytest.raises(ZeroOrderError):
-        ord_t(Local2DElement.zero(QQ))
+        Local2DElement.zero(QQ).ord_t()
 
 
 def test_ord_t_vector_is_min_over_components():
@@ -93,7 +92,7 @@ def test_ord_t_additive(field):
         b = random_local2d(rng, field)
         if not a or not b:
             continue
-        assert ord_t(l2_mul(a, b)) == ord_t(a) + ord_t(b)
+        assert (a * b).ord_t() == a.ord_t() + b.ord_t()
         done += 1
 
 
@@ -115,9 +114,9 @@ def test_margin_soundness_of_truncated_products():
         x = random_local2d(rng, QQ, lo=-5, hi=5)
         y = random_local2d(rng, QQ, lo=-5, hi=5)
         radius = max(support_radius(x), support_radius(y))
-        wide = w.enlarged(radius)
-        lhs = truncate(l2_mul(x, y), w).value
-        rhs = truncate(l2_mul(truncate(x, wide).value, truncate(y, wide).value), w).value
+        wide = enlarged(w, radius)
+        lhs = truncate(x * y, w).value
+        rhs = truncate(truncate(x, wide).value * truncate(y, wide).value, w).value
         assert lhs == rhs
 
 
@@ -130,11 +129,15 @@ def test_window_invariants():
         Window2D(0, 4, 0, 4, 2, 0)  # m_t not below half width
     with pytest.raises(ConfigError):
         Window2D(0, 4, 0, 4, -1, 0)
+    # margins are compared in integers: 2 * 2^59 < 2^60 + 1, but not < 2^60
+    Window2D(0, 2 ** 60 + 1, 0, 4, 2 ** 59, 0)
+    with pytest.raises(ConfigError):
+        Window2D(0, 2 ** 60, 0, 4, 2 ** 59, 0)
 
 
 def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
-        l2_add(Local2DElement.one(QQ), Local2DElement.one(F5))
+        Local2DElement.one(QQ) + Local2DElement.one(F5)
 
 
 def test_json_sorted_by_b_then_a():
@@ -189,7 +192,7 @@ def test_separately_built_equal_fields_combine():
         assert got == local2d_reference(x, y, op)
     assert x + y == Local2DElement.from_dict(f7a, {(1, 0): 5, (0, 1): 2})
     f11 = Local2DElement.from_dict(Field(11), {(0, 0): 1})
-    for op in (l2_add, l2_mul, lambda p, q: p - q):
+    for op in (lambda p, q: p + q, lambda p, q: p * q, lambda p, q: p - q):
         with pytest.raises(FieldMismatchError):
             op(x, f11)
         with pytest.raises(FieldMismatchError):

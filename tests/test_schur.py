@@ -247,7 +247,7 @@ def test_layered_membership_soundness_vs_brute_force():
         x = Local2DElement.from_dict(QQ, d)
         verdict = layered_membership(L, x)
         if verdict is Verdict.IN:
-            for b in x.t_levels():
+            for b in sorted({b for (_a, b), _c in x.terms}):
                 lvl = L.level(b)
                 assert brute_membership(lvl.row_vectors(), (x.t_slice(b),),
                                         QQ, 1, w.u_lo, w.u_hi)
@@ -372,7 +372,7 @@ def two_pass_route(L, vec):
         return "in"
     if blocked:
         return "escaped"
-    support = [k for comp in vec for k in comp.support()]
+    support = [k for comp in vec for k, _c in comp.terms]
     if any(b < w.t_lo or b >= w.t_hi or a >= w.u_hi for (a, b) in support):
         return "escaped"
     if all(b < w.t_trusted_hi and a < w.u_trusted_hi for (a, b) in support):
@@ -453,7 +453,7 @@ def lift_and_subtract(L, vec):
                 for poly in slice_vec]
         diffs = []
         for x, y in zip(rem, lift):
-            d = x.as_dict()
+            d = dict(x.terms)
             for k, c in y.terms:
                 d[k] = d[k] - c if k in d else -c
             diffs.append(Local2DElement.from_dict(L.field, d))

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fixtures import random_laurent
 from ribbonlab.errors import ConfigError, FieldMismatchError, ZeroOrderError
-from ribbonlab.series import QQ, Field, LaurentPoly, lp_add, lp_mul, lp_ord, random_laurent
+from ribbonlab.series import QQ, Field, LaurentPoly
 
 F7 = Field(7)
 
@@ -15,20 +16,20 @@ def lp(field, d):
 
 
 def test_add_cancellation():
-    assert lp_add(lp(QQ, {1: 1, 0: 1}), lp(QQ, {1: -1})) == lp(QQ, {0: 1})
+    assert lp(QQ, {1: 1, 0: 1}) + lp(QQ, {1: -1}) == lp(QQ, {0: 1})
 
 
 def test_add_identity():
     x = lp(QQ, {-3: 1})
-    assert lp_add(LaurentPoly.zero(QQ), x) == x
+    assert LaurentPoly.zero(QQ) + x == x
 
 
 def test_add_coefficientwise():
     # oracle: direct coefficient addition
     left, right = {2: 1, 1: 1}, {2: 1, 1: -1}
     expect = {e: left.get(e, 0) + right.get(e, 0) for e in set(left) | set(right)}
-    assert lp_add(lp(QQ, left), lp(QQ, right)) == lp(QQ, expect)
-    assert lp_add(lp(QQ, left), lp(QQ, right)) == lp(QQ, {2: 2})
+    assert lp(QQ, left) + lp(QQ, right) == lp(QQ, expect)
+    assert lp(QQ, left) + lp(QQ, right) == lp(QQ, {2: 2})
 
 
 def _convolve(x: dict, y: dict) -> dict:
@@ -40,14 +41,14 @@ def _convolve(x: dict, y: dict) -> dict:
 
 
 def test_mul_examples():
-    assert lp_mul(lp(QQ, {0: 1, 1: 1}), lp(QQ, {0: 1, 1: -1})) == lp(QQ, {0: 1, 2: -1})
-    assert lp_mul(lp(QQ, {-2: 1}), lp(QQ, {5: 1})) == lp(QQ, {3: 1})
+    assert lp(QQ, {0: 1, 1: 1}) * lp(QQ, {0: 1, 1: -1}) == lp(QQ, {0: 1, 2: -1})
+    assert lp(QQ, {-2: 1}) * lp(QQ, {5: 1}) == lp(QQ, {3: 1})
 
 
 def test_mul_convolution_oracle():
     x, y = {0: 1, 1: 1, 2: 1}, {0: 1, 1: -1}
-    assert lp_mul(lp(QQ, x), lp(QQ, y)) == lp(QQ, _convolve(x, y))
-    assert lp_mul(lp(QQ, x), lp(QQ, y)) == lp(QQ, {0: 1, 3: -1})
+    assert lp(QQ, x) * lp(QQ, y) == lp(QQ, _convolve(x, y))
+    assert lp(QQ, x) * lp(QQ, y) == lp(QQ, {0: 1, 3: -1})
 
 
 @pytest.mark.parametrize("field", [QQ, F7])
@@ -73,7 +74,7 @@ def test_ord_additive_under_mul(field):
         b = random_laurent(rng, field)
         if not a or not b:
             continue
-        assert lp_ord(a * b) == lp_ord(a) + lp_ord(b)
+        assert (a * b).ord() == a.ord() + b.ord()
         done += 1
 
 
@@ -91,9 +92,9 @@ def test_ord_of_zero_is_error():
 
 def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
-        lp_add(lp(QQ, {0: 1}), lp(F7, {0: 1}))
+        lp(QQ, {0: 1}) + lp(F7, {0: 1})
     with pytest.raises(FieldMismatchError):
-        lp_mul(lp(QQ, {0: 1}), lp(F7, {0: 1}))
+        lp(QQ, {0: 1}) * lp(F7, {0: 1})
 
 
 def test_prime_field_validation():
