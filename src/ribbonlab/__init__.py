@@ -7,12 +7,10 @@ together with the cohomological and Picard-group computations that live on
 the same models.
 """
 
-from .cohomology import (CechData, LevelStack, PicardReport,
-                         RibbonCohomologyReport, cech_line_bundle,
-                         picard_dimension, ribbon_cohomology)
-from .errors import (ChartError, ConfigError, DegreeBoundError,
-                     FieldMismatchError, NotCocompactError,
-                     RangeViolationError, RibbonlabError,
+from .cohomology import (LevelStack, PicardReport, RibbonCohomologyReport,
+                         cech_line_bundle, picard_dimension, ribbon_cohomology)
+from .errors import (ConfigError, DegreeBoundError, FieldMismatchError,
+                     NotCocompactError, RangeViolationError, RibbonlabError,
                      SupportViolationError, TruncationBoundError,
                      UnsupportedDatumError, WindowMismatchError,
                      WindowTooSmallError, ZeroOrderError)

@@ -3,7 +3,9 @@
 Rows are dicts mapping a basis key to a nonzero Scalar.  The pivot of a row
 is its minimal key, so with keys ordered (exponent, component) the echelon
 profile reads off leading orders from below, which is the convention every
-filtration in this package uses.
+filtration in this package uses.  There is one elimination kernel,
+``reduce_vector`` against a reduced basis: ``echelon`` builds its basis with
+it, and membership tests reduce against the basis ``echelon`` returns.
 """
 
 from __future__ import annotations
@@ -31,28 +33,26 @@ def echelon(rows) -> list:
     """Reduced row echelon basis of the span of ``rows``.
 
     Returns rows sorted by strictly increasing pivot key, pivot coefficient 1,
-    and every pivot coordinate eliminated from the other rows.
+    and every pivot coordinate eliminated from the other rows.  The basis is
+    kept in that form as rows arrive: each row is reduced against it with
+    ``reduce_vector``, a nonzero remainder is scaled to 1 at its least key,
+    and that key is cleared from the kept rows.  The form is unique, so the
+    result depends only on the span.
     """
     pivots: dict = {}
     for row in rows:
-        row = {k: v for k, v in row.items() if v}
-        while row:
-            k = min(row)
-            if k in pivots:
-                row = row_sub(row, row_scale(pivots[k], row[k]))
-            else:
-                pivots[k] = row_scale(row, row[k].inverse())
-                break
-    keys = sorted(pivots)
-    # back-substitution pass for the reduced form, deepest pivot first
-    for i in range(len(keys) - 1, -1, -1):
-        r = pivots[keys[i]]
-        for k2 in keys[i + 1:]:
-            c = r.get(k2)
-            if c:
-                r = row_sub(r, row_scale(pivots[k2], c))
-        pivots[keys[i]] = r
-    return [pivots[k] for k in keys]
+        rem = reduce_vector(row, pivots)
+        if not rem:
+            continue
+        k = min(rem)
+        new = row_scale(rem, rem[k].inverse())
+        if pivots and min(pivots) < k:  # only a row whose pivot is below k can hold k
+            for k2, kept in pivots.items():
+                c = kept.get(k)
+                if c:
+                    pivots[k2] = row_sub(kept, row_scale(new, c))
+        pivots[k] = new
+    return [pivots[k] for k in sorted(pivots)]
 
 
 def reduce_vector(v: dict, pivots: dict) -> dict:

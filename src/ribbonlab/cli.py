@@ -26,8 +26,6 @@ from .local2d import Window2D
 from .schur import SchurPair, check_schur_pair, hilbert_function, point_ideal_check
 from .series import Field
 
-FIELD_ENV = "RIBBONLAB_FIELD"
-
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
@@ -46,7 +44,7 @@ class RunConfig:
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--field", default="Q", help="Q or Fp:<prime> (env %s overrides)" % FIELD_ENV)
+    parser.add_argument("--field", default="Q", help="Q or Fp:<prime>")
     parser.add_argument("--t-lo", type=int, default=-4)
     parser.add_argument("--t-hi", type=int, default=4)
     parser.add_argument("--u-lo", type=int, default=-8)
@@ -57,10 +55,9 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _config(args) -> RunConfig:
-    tag = os.environ.get(FIELD_ENV) or args.field
     window = Window2D(args.t_lo, args.t_hi, args.u_lo, args.u_hi,
                       args.margin_t, args.margin_u)
-    return RunConfig(Field.from_tag(tag), window, args.bound)
+    return RunConfig(Field.from_tag(args.field), window, args.bound)
 
 
 def _write_text(path: str, text: str):

@@ -3,9 +3,10 @@ level stacks on its formal thickenings, plus the unipotent Picard dimension.
 
 Charts are U1 = P^1 minus infinity with coordinate u and U2 = P^1 minus zero
 with coordinate 1/u; a twist-d section moves across the overlap by
-g(u') -> u^d g(1/u).  All section spaces are truncated at a chart degree
-bound B, and every report carries the bound so each dimension claim stays an
-honest finite statement.
+g(u') -> u^d g(1/u), so the chart-2 monomial (1/u)^a lands on overlap
+exponent d - a.  All section spaces are truncated at a chart degree bound B,
+and every report carries the bound so each dimension claim stays an honest
+finite statement.
 """
 
 from __future__ import annotations
@@ -13,55 +14,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _linalg
-from .errors import ChartError, RangeViolationError, TruncationBoundError, UnsupportedDatumError
+from .errors import RangeViolationError, TruncationBoundError, UnsupportedDatumError
 from .geometry import P2_LINE, GeometricDatum
 from .series import QQ, Field
-
-
-@dataclass(frozen=True)
-class CechData:
-    """Two-chart section model for one twist: polynomial spans of degree <= bound
-    on each chart, glued over the overlap by multiplication with u^twist.
-
-    Chart U1 omits the point at infinity and carries the coordinate u; chart
-    U2 omits zero and carries 1/u, so its degree-a monomial restricts to
-    overlap exponent twist - a.
-    """
-
-    twist: int
-    bound: int
-
-    def chart_exponents(self) -> range:
-        return range(self.bound + 1)
-
-    def overlap_exponents(self) -> range:
-        return range(self.twist - self.bound, self.bound + 1)
-
-    def to_overlap(self, chart: str, a: int) -> int:
-        if chart == "U1":
-            return a
-        if chart == "U2":
-            return self.twist - a
-        raise ChartError(f"no chart named {chart!r}")
 
 
 def cech_line_bundle(d: int, B: int, fld: Field = QQ):
     """(h0, h1) of the twist-d line bundle on the base line, from the two-chart complex.
 
-    The Cech difference map sends each chart monomial to its overlap exponent,
-    chart-1 columns with sign +1 and chart-2 columns with sign -1; h0 is its
-    kernel and h1 its cokernel in the truncated overlap.  Both hull edges, B
-    and d - B, are images of degree-B chart monomials, so no cokernel class
-    can sit on the truncation edge.
+    Each chart carries the monomials of degree 0..B in its coordinate.  The
+    Cech difference map sends u^a on U1 to overlap exponent a with sign +1
+    and (1/u)^a on U2 to overlap exponent d - a with sign -1; h0 is its
+    kernel and h1 its cokernel in the truncated overlap, exponents d - B
+    through B, of which there are 2B - d + 1.  Both hull edges, B and d - B,
+    are images of degree-B chart monomials, so no cokernel class can sit on
+    the truncation edge.
     """
     if B < abs(d) + 2:
         raise TruncationBoundError(f"bound B={B} too small for twist {d}; need B >= |d| + 2")
-    cd = CechData(d, B)
-    columns = [{cd.to_overlap(chart, a): sign}
-               for chart, sign in (("U1", fld.one), ("U2", -fld.one))
-               for a in cd.chart_exponents()]
+    plus, minus = fld.one, -fld.one
+    columns = [{a: plus} for a in range(B + 1)] + [{d - a: minus} for a in range(B + 1)]
     rank = len(_linalg.echelon(columns))
-    return len(columns) - rank, len(cd.overlap_exponents()) - rank
+    return len(columns) - rank, 2 * B - d + 1 - rank
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class TruncationBoundError(RibbonlabError):
     """Chart-degree truncation bound is too small for the requested twist."""
 
 
-class ChartError(RibbonlabError):
-    """Operation invoked on a chart it is not defined for (e.g. the overlap)."""
-
-
 class RangeViolationError(RibbonlabError):
     """Level range (i, j) is empty or leaves the window."""
 

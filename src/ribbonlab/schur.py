@@ -52,16 +52,24 @@ class LayeredSubspace:
     field: Field
     r: int
     window: Window2D
-    levels: tuple = ()       # ((b, WindowedSubspace), ...) for every b in [t_lo, t_hi)
+    levels: tuple = ()       # ((b, WindowedSubspace), ...), each b in [t_lo, t_hi) once
     generators: tuple = ()   # closure-witness vectors, each a tuple of Local2DElement
 
     def __post_init__(self):
+        if self.r < 1:
+            raise ConfigError(f"rank r must be at least 1, got {self.r}")
+        w = self.window
+        for b, n in Counter(b for b, _lvl in self.levels).items():
+            if not w.t_lo <= b < w.t_hi:
+                raise ConfigError(f"level {b} is outside the window's {w.t_lo}..{w.t_hi - 1}")
+            if n > 1:
+                raise ConfigError(f"level {b} appears {n} times in layered subspace")
         by_b = dict(self.levels)
-        for b in range(self.window.t_lo, self.window.t_hi):
+        for b in range(w.t_lo, w.t_hi):
             if b not in by_b:
                 raise ConfigError(f"missing level {b} in layered subspace")
             lvl = by_b[b]
-            if lvl.r != self.r or (lvl.u_lo, lvl.u_hi) != (self.window.u_lo, self.window.u_hi):
+            if lvl.r != self.r or (lvl.u_lo, lvl.u_hi) != (w.u_lo, w.u_hi):
                 raise ConfigError(f"level {b} does not match the layered window/rank")
         if any(len(vec) != self.r for vec in self.generators):
             raise ConfigError(f"every generator needs {self.r} components")

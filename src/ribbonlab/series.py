@@ -1,10 +1,11 @@
 """Exact scalars over Q or a prime field F_p, and Laurent polynomials in one variable u.
 
 Everything here is exact and immutable: a rational is a Python int when it
-is integral and an arbitrary-precision Fraction otherwise, prime-field
-elements are residues, and a Laurent polynomial is a finite sorted map
-exponent -> nonzero scalar.  The zero polynomial is the empty map, and
-asking for the order of zero raises instead of returning a sentinel.
+is integral and an arbitrary-precision Fraction otherwise, and prime-field
+elements are residues.  A Laurent polynomial is a value type, a finite
+sorted map exponent -> nonzero scalar that carries one k((u)) component
+into elimination and pair files; it has no arithmetic of its own.  Ring
+arithmetic, orders included, is ``Local2DElement``'s.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ConfigError, FieldMismatchError, ZeroOrderError
+from .errors import ConfigError, FieldMismatchError
 
 MAX_PRIME = 2 ** 31
 
@@ -219,45 +220,6 @@ class LaurentPoly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def _check(self, other: "LaurentPoly"):
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field.tag} vs {other.field.tag}")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        d = dict(self.coeffs)
-        for e, c in other.coeffs:
-            if e in d:
-                d[e] = d[e] + c
-            else:
-                d[e] = c
-        return LaurentPoly.from_dict(self.field, d)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.field, tuple((e, -c) for e, c in self.coeffs))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        d: dict = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                prod = c1 * c2
-                if e in d:
-                    d[e] = d[e] + prod
-                else:
-                    d[e] = prod
-        return LaurentPoly.from_dict(self.field, d)
-
-    def ord(self) -> int:
-        """Minimal exponent carrying a nonzero coefficient; undefined for zero."""
-        if not self.coeffs:
-            raise ZeroOrderError("ord_u of the zero polynomial is undefined")
-        return self.coeffs[0][0]
 
     def to_json(self) -> dict:
         return {

@@ -7,22 +7,13 @@ yields the same sequence of elements.
 from fractions import Fraction
 
 from ribbonlab.local2d import Local2DElement, Window2D
-from ribbonlab.series import Field, LaurentPoly
+from ribbonlab.series import Field
 
 
 def _random_coeff(rng, field: Field):
     if field.p is None:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return rng.randint(0, field.p - 1)
-
-
-def random_laurent(rng, field: Field, exp_lo=-6, exp_hi=6, max_terms=4) -> LaurentPoly:
-    """Small random Laurent polynomial; a repeated exponent keeps its last draw."""
-    d = {}
-    for _ in range(rng.randint(0, max_terms)):
-        e = rng.randint(exp_lo, exp_hi)
-        d[e] = _random_coeff(rng, field)
-    return LaurentPoly.from_dict(field, d)
 
 
 def random_local2d(rng, field: Field, lo=-4, hi=4, max_terms=4) -> Local2DElement:

@@ -2,9 +2,9 @@
 
 Everything here recomputes results by a different route than the package:
 dense list-based Gaussian elimination over an explicitly enumerated
-component-major coordinate basis, closed-form Riemann-Roch counts, and the
-pole-divisor computation on the plane.  Nothing imports the package's sparse
-echelon engine.
+component-major coordinate basis, sparse two-pass elimination, closed-form
+Riemann-Roch counts, and the pole-divisor computation on the plane.  Nothing
+imports the package's sparse echelon engine.
 """
 
 from __future__ import annotations
@@ -46,16 +46,53 @@ def row_scan_reduce(v: dict, basis: list) -> dict:
     """
     v = {k: c for k, c in v.items() if c}
     for row in basis:
-        pk = min(row)
-        c = v.get(pk)
+        c = v.get(min(row))
         if c:
-            for k, x in row.items():
-                w = v[k] - c * x if k in v else -(c * x)
-                if w:
-                    v[k] = w
-                else:
-                    del v[k]
+            v = _minus_multiple(v, c, row)
     return v
+
+
+def _minus_multiple(row: dict, c, other: dict) -> dict:
+    """row - c * other on sparse dicts, dropping keys that cancel."""
+    out = dict(row)
+    for k, x in other.items():
+        w = out[k] - c * x if k in out else -(c * x)
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
+
+
+def two_pass_echelon(rows) -> list:
+    """Reduced row echelon basis by a forward pass and back-substitution.
+
+    Reference for ``_linalg.echelon``, which keeps its basis reduced as rows
+    arrive.  Forward pass: clear each row's least key against the pivot rows
+    found so far until it is zero or opens a new pivot, scaled to 1 there.
+    Then, deepest pivot first, clear every later pivot key from each row.
+    Returns the rows sorted by pivot key.
+    """
+    pivots: dict = {}
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        while row:
+            k = min(row)
+            if k in pivots:
+                row = _minus_multiple(row, row[k], pivots[k])
+            else:
+                inv = row[k].inverse()
+                pivots[k] = {k2: v * inv for k2, v in row.items()}
+                break
+    keys = sorted(pivots)
+    for i in range(len(keys) - 1, -1, -1):
+        r = pivots[keys[i]]
+        for k2 in keys[i + 1:]:
+            c = r.get(k2)
+            if c:
+                r = _minus_multiple(r, c, pivots[k2])
+        pivots[keys[i]] = r
+    return [pivots[k] for k in keys]
 
 
 def local2d_reference(x: Local2DElement, y: Local2DElement, op: str) -> Local2DElement:

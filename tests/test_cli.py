@@ -234,12 +234,12 @@ def test_report_cohomology_bound_shortfall(tmp_path):
                "--out", str(tmp_path / "c.json")) == 2
 
 
-def test_field_env_override(tmp_path, monkeypatch):
+def test_field_comes_from_the_flag_alone(tmp_path, monkeypatch):
     monkeypatch.setenv("RIBBONLAB_FIELD", "Fp:7")
-    out = tmp_path / "pair7.json"
-    assert run("build", "p2-line", "--out", str(out)) == 0
-    assert load(out)["field"] == "Fp:7"
-    assert run("check", str(out)) == 0
+    for flags, tag in (((), "Q"), (("--field", "Q"), "Q"), (("--field", "Fp:5"), "Fp:5")):
+        out = tmp_path / "pair.json"
+        assert run("build", "p2-line", *flags, "--out", str(out)) == 0
+        assert load(out)["field"] == tag
 
 
 def test_console_script_entry_point(tmp_path):
@@ -323,6 +323,44 @@ MALFORMED = [
 def test_check_malformed_pair_exits_3(pair_path, tmp_path, capsys, path, value):
     bad = tmp_path / "malformed.json"
     bad.write_text(json.dumps(set_path(load(pair_path), path, value)))
+    assert usage_error(capsys, "check", str(bad)) == 3
+
+
+def empty_level(side, b):
+    """Copy of the level-b entry of a pair side, with its rows removed."""
+    entry = json.loads(json.dumps(next(e for e in side["levels"] if e["b"] == b)))
+    entry["space"]["rows"] = []
+    return entry
+
+
+def set_rank(side, r):
+    """Give a pair side rank r on the side and on every level, with no rows or witnesses."""
+    side.update(r=r, generators=[])
+    for entry in side["levels"]:
+        entry["space"].update(r=r, rows=[])
+
+
+# each level b of the window appears exactly once, and r >= 1: otherwise a
+# second copy of a level, or one outside the window, would be dropped
+# unread, and r would scale the index of an empty side
+SIDE_EDITS = {
+    "level-repeated-last": lambda W: W["levels"].append(empty_level(W, 0)),
+    "level-repeated-first": lambda W: W["levels"].insert(0, empty_level(W, 0)),
+    "level-outside-window": lambda W: W["levels"].append(dict(empty_level(W, 0), b=100)),
+    "level-missing": lambda W: W["levels"].remove(next(e for e in W["levels"] if e["b"] == 0)),
+    "rank-minus-one": lambda W: set_rank(W, -1),
+    "rank-zero": lambda W: set_rank(W, 0),
+}
+
+
+@pytest.mark.parametrize("edit", SIDE_EDITS)
+def test_check_malformed_side_exits_3(tmp_path, capsys, edit):
+    out = tmp_path / "pair.json"
+    assert run("build", "p2-line", "--out", str(out)) == 0
+    obj = load(out)
+    SIDE_EDITS[edit](obj["W"])
+    bad = tmp_path / f"{edit}.json"
+    bad.write_text(json.dumps(obj))
     assert usage_error(capsys, "check", str(bad)) == 3
 
 

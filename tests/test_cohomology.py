@@ -3,10 +3,10 @@ import random
 import pytest
 
 from oracles import rr_h0, rr_h1
-from ribbonlab.cohomology import (CechData, LevelStack, cech_line_bundle,
-                                  picard_dimension, ribbon_cohomology)
-from ribbonlab.errors import (ChartError, RangeViolationError,
-                              TruncationBoundError, UnsupportedDatumError)
+from ribbonlab.cohomology import (LevelStack, cech_line_bundle, picard_dimension,
+                                  ribbon_cohomology)
+from ribbonlab.errors import (RangeViolationError, TruncationBoundError,
+                              UnsupportedDatumError)
 from ribbonlab.geometry import make_datum
 from ribbonlab.series import QQ, Field
 
@@ -23,20 +23,6 @@ def test_cech_matches_riemann_roch_sweep():
     B = 8
     for d in range(-6, 7):
         assert cech_line_bundle(d, B) == (rr_h0(d), rr_h1(d))
-
-
-def test_cech_data_charts_glue_inside_overlap():
-    # both chart images must land in the declared overlap and the twist
-    # identification must be exponent-reversing on chart two
-    for d in range(-5, 6):
-        cd = CechData(d, 8)
-        overlap = set(cd.overlap_exponents())
-        for a in cd.chart_exponents():
-            assert cd.to_overlap("U1", a) in overlap
-            assert cd.to_overlap("U2", a) in overlap
-            assert cd.to_overlap("U2", a) == d - a
-    with pytest.raises(ChartError):
-        CechData(0, 8).to_overlap("U12", 0)
 
 
 def test_cech_bound_too_small():

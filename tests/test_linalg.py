@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_rank, row_scan_reduce
+from oracles import dense_rank, row_scan_reduce, two_pass_echelon
 from ribbonlab import _linalg
 from ribbonlab.series import QQ, Field
 
@@ -29,6 +29,35 @@ def test_reduce_vector_matches_row_scan(field, rows, extra, multiples):
     assert v == before
     assert rem == row_scan_reduce(v, basis)
     assert all(rem.values()) and not set(rem) & set(pivots)
+
+
+# 13 is zero in F_13; the large values wrap in F_(2^31-1)
+VALUES = st.integers(-4, 4) | st.sampled_from([13, 2 ** 30, 2 ** 31 - 2])
+
+
+def combination(field, x, y, a, b):
+    """a * x + b * y, coefficients combined key by key; zeros stay in the row."""
+    return {k: field.scalar(a) * x.get(k, field.zero) + field.scalar(b) * y.get(k, field.zero)
+            for k in x.keys() | y.keys()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), field=st.sampled_from([QQ, Field(13), Field(2 ** 31 - 1)]))
+def test_echelon_matches_two_pass_elimination(data, field):
+    rows = data.draw(st.lists(st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=5)
+                              .map(lambda row: in_field(field, row)), max_size=8))
+    # splice in zero rows, repeated rows and combinations of earlier rows
+    for kind in data.draw(st.lists(st.sampled_from(["zero", "repeat", "combination"]),
+                                   max_size=6)):
+        if kind == "zero" or not rows:
+            new = data.draw(st.sampled_from([{}, {KEYS[0]: field.zero}]))
+        elif kind == "repeat":
+            new = dict(data.draw(st.sampled_from(rows)))
+        else:
+            x, y = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            new = combination(field, x, y, data.draw(VALUES), data.draw(VALUES))
+        rows.insert(data.draw(st.integers(0, len(rows))), new)
+    assert _linalg.echelon(rows) == two_pass_echelon(rows)
 
 
 def test_echelon_over_q_stores_integral_values_as_ints():

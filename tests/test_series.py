@@ -1,11 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fixtures import random_laurent
-from ribbonlab.errors import ConfigError, FieldMismatchError, ZeroOrderError
+from ribbonlab.errors import ConfigError
 from ribbonlab.series import QQ, Field, LaurentPoly
 
 F7 = Field(7)
@@ -13,88 +11,6 @@ F7 = Field(7)
 
 def lp(field, d):
     return LaurentPoly.from_dict(field, d)
-
-
-def test_add_cancellation():
-    assert lp(QQ, {1: 1, 0: 1}) + lp(QQ, {1: -1}) == lp(QQ, {0: 1})
-
-
-def test_add_identity():
-    x = lp(QQ, {-3: 1})
-    assert LaurentPoly.zero(QQ) + x == x
-
-
-def test_add_coefficientwise():
-    # oracle: direct coefficient addition
-    left, right = {2: 1, 1: 1}, {2: 1, 1: -1}
-    expect = {e: left.get(e, 0) + right.get(e, 0) for e in set(left) | set(right)}
-    assert lp(QQ, left) + lp(QQ, right) == lp(QQ, expect)
-    assert lp(QQ, left) + lp(QQ, right) == lp(QQ, {2: 2})
-
-
-def _convolve(x: dict, y: dict) -> dict:
-    out = {}
-    for e1, c1 in x.items():
-        for e2, c2 in y.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return out
-
-
-def test_mul_examples():
-    assert lp(QQ, {0: 1, 1: 1}) * lp(QQ, {0: 1, 1: -1}) == lp(QQ, {0: 1, 2: -1})
-    assert lp(QQ, {-2: 1}) * lp(QQ, {5: 1}) == lp(QQ, {3: 1})
-
-
-def test_mul_convolution_oracle():
-    x, y = {0: 1, 1: 1, 2: 1}, {0: 1, 1: -1}
-    assert lp(QQ, x) * lp(QQ, y) == lp(QQ, _convolve(x, y))
-    assert lp(QQ, x) * lp(QQ, y) == lp(QQ, {0: 1, 3: -1})
-
-
-@pytest.mark.parametrize("field", [QQ, F7])
-def test_ring_axioms(field):
-    rng = random.Random(101 if field is QQ else 102)
-    for _ in range(500):
-        a = random_laurent(rng, field)
-        b = random_laurent(rng, field)
-        c = random_laurent(rng, field)
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-
-
-@pytest.mark.parametrize("field", [QQ, F7])
-def test_ord_additive_under_mul(field):
-    rng = random.Random(7 if field is QQ else 8)
-    done = 0
-    while done < 1000:
-        a = random_laurent(rng, field)
-        b = random_laurent(rng, field)
-        if not a or not b:
-            continue
-        assert (a * b).ord() == a.ord() + b.ord()
-        done += 1
-
-
-def test_canonical_zero():
-    rng = random.Random(3)
-    for _ in range(200):
-        a = random_laurent(rng, QQ)
-        assert (a + (-a)).coeffs == ()
-
-
-def test_ord_of_zero_is_error():
-    with pytest.raises(ZeroOrderError):
-        LaurentPoly.zero(QQ).ord()
-
-
-def test_field_mismatch():
-    with pytest.raises(FieldMismatchError):
-        lp(QQ, {0: 1}) + lp(F7, {0: 1})
-    with pytest.raises(FieldMismatchError):
-        lp(QQ, {0: 1}) * lp(F7, {0: 1})
 
 
 def test_prime_field_validation():
