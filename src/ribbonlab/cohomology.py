@@ -51,38 +51,31 @@ class LevelStack:
             raise RangeViolationError("truncation depth must be nonnegative")
         return LevelStack(tuple(twist - j for j in range(depth + 1)))
 
-    def __len__(self):
-        return len(self.twists)
-
 
 @dataclass
 class RibbonCohomologyReport:
-    """Cohomology of a truncated level stack, with its per-level line bundles.
+    """Cohomology of a truncated level stack: per-level line bundles and their sums.
 
-    ``h0``/``h1`` are the sums over levels.  ``agreement`` and
-    ``transition_surjective`` hold by construction and are kept for readers of
-    the report: every Cech difference column is a single key (level,
-    exponent), so the stacked block complex is block-diagonal by level and
-    equals the levelwise sum; and the two-chart complex has no C^2 term, so
-    dropping the deepest level maps C^1 onto C^1 and every H^1 transition
-    between truncation depths is onto.
+    ``agreement`` and ``transition_surjective`` hold by construction: every
+    Cech difference column is a single key (level, exponent), so the block
+    complex is block-diagonal by level and equals the levelwise sum; and the
+    two-chart complex has no C^2 term, so dropping the deepest level maps C^1
+    onto C^1 and every H^1 transition between truncation depths is onto.
     """
 
     h0: int
     h1: int
     levels: list           # dicts: d, h0, h1
-    levelwise_h0: int
-    levelwise_h1: int
-    agreement: bool
-    transition_surjective: bool
     bound: int
+    agreement = True
+    transition_surjective = True
 
     def to_json(self) -> dict:
         return {
             "h0": self.h0,
             "h1": self.h1,
             "levels": list(self.levels),
-            "levelwise": {"h0": self.levelwise_h0, "h1": self.levelwise_h1},
+            "levelwise": {"h0": self.h0, "h1": self.h1},
             "agreement": self.agreement,
             "transition_surjective": self.transition_surjective,
             "bound": self.bound,
@@ -92,21 +85,17 @@ class RibbonCohomologyReport:
 
 
 def ribbon_cohomology(stack: LevelStack, B: int, fld: Field = QQ) -> RibbonCohomologyReport:
-    """Cohomology of a truncated level stack, computed once per level.
+    """Cohomology of a truncated level stack: one Cech complex per level, summed.
 
-    Each level is the twist-d line bundle of its graded piece; the stack's
-    (h0, h1) are the sums.  See ``RibbonCohomologyReport`` for why the block
-    complex and the levelwise sum agree and why the transitions are onto.
-    A bound below |d| + 2 at any level raises ``TruncationBoundError``.
+    Each level is the twist-d line bundle of its graded piece; a bound below
+    |d| + 2 at any level raises ``TruncationBoundError``.
     """
     levels = []
     for d in stack.twists:
         h0, h1 = cech_line_bundle(d, B, fld)
         levels.append({"d": d, "h0": h0, "h1": h1})
-    h0 = sum(lv["h0"] for lv in levels)
-    h1 = sum(lv["h1"] for lv in levels)
-    return RibbonCohomologyReport(h0, h1, levels, h0, h1, agreement=True,
-                                  transition_surjective=True, bound=B)
+    return RibbonCohomologyReport(sum(lv["h0"] for lv in levels),
+                                  sum(lv["h1"] for lv in levels), levels, B)
 
 
 @dataclass
@@ -126,22 +115,16 @@ class PicardReport:
 def picard_dimension(g: GeometricDatum, depth: int, B: int, fld: Field = QQ) -> PicardReport:
     """Dimension of the unipotent Picard part of the depth-i thickening.
 
-    Sums h^1 of the graded pieces of the unipotent sheaf group, the piece at
-    level j being the twist -j line bundle; the grading is exact because every
-    piece has vanishing h^0, and that hypothesis is recorded in the report.
-    Also reports the discrete invariant d = -(C.C) of the degree quotient.
+    h^1 of the level stack of graded pieces, the piece at level j = 1..i being
+    the twist -j(C.C) line bundle; the grading is exact because every piece
+    has vanishing h^0 (the stack's h^0 is 0), as the report records.  Also
+    reports the discrete invariant d = -(C.C) of the degree quotient.
     """
     if g.kind != P2_LINE:
         raise UnsupportedDatumError("picard dimension is computed for the p2-line datum only")
     if depth < 1:
         raise RangeViolationError("thickening depth must be a positive integer")
-    levels = []
-    total = 0
-    vanishing = True
-    for j in range(1, depth + 1):
-        d = -j * g.selfint
-        h0, h1 = cech_line_bundle(d, B, fld)
-        vanishing = vanishing and h0 == 0
-        total += h1
-        levels.append({"j": j, "d": d, "h0": h0, "h1": h1})
-    return PicardReport(total, levels, -g.selfint, vanishing, B)
+    stack = LevelStack(tuple(-j * g.selfint for j in range(1, depth + 1)))
+    rep = ribbon_cohomology(stack, B, fld)
+    levels = [dict(lv, j=j) for j, lv in enumerate(rep.levels, 1)]
+    return PicardReport(rep.h1, levels, -g.selfint, rep.h0 == 0, B)

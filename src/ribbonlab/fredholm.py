@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import _linalg
-from .errors import (ConfigError, NotCocompactError, SupportViolationError,
-                     WindowMismatchError, WindowTooSmallError)
+from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
+                     SupportViolationError, WindowMismatchError, WindowTooSmallError)
 from .series import Field, LaurentPoly, json_int
 
 
@@ -94,7 +94,8 @@ def echelonize(rows: Sequence[Sequence[LaurentPoly]], r: int, u_lo: int, u_hi: i
     """Reduced echelon form of the span of the given vectors inside the window.
 
     With full_below set, terms below u_lo are absorbable into the modeled tail
-    and are discarded before elimination.  Support at or above u_hi is an error.
+    and are discarded before elimination.  Support at or above u_hi is an error,
+    and so is a component over a field other than ``field`` (default: the first's).
     """
     dict_rows = []
     for vec in rows:
@@ -102,6 +103,9 @@ def echelonize(rows: Sequence[Sequence[LaurentPoly]], r: int, u_lo: int, u_hi: i
             raise SupportViolationError(f"vector has {len(vec)} components, expected {r}")
         if field is None:
             field = vec[0].field
+        for poly in vec:
+            if poly.field is not field and poly.field != field:
+                raise FieldMismatchError(f"component over {poly.field.tag} in a {field.tag} space")
         row = _vector_to_row(vec)
         kept = {}
         for (e, c), coeff in row.items():

@@ -85,23 +85,17 @@ class GeometricDatum:
             return 0
         raise UnsupportedDatumError(f"{self.kind} has no section levels")
 
-    def contains_monomial(self, a: int, b: int, side: str = "A") -> bool:
-        bound = self.level_bound(b, side)
-        return bound is not None and a <= bound
-
     def product(self, x: Local2DElement, y: Local2DElement) -> Local2DElement:
-        """Multiplication rule of the datum's structure sheaf on representatives."""
+        """Multiplication rule of the datum's structure sheaf on representatives.
+
+        Under the nilpotent rule t_i t_j = 0 (i, j != 0) only term pairs with a
+        t^0 factor survive: with x0, y0 the t^0 parts, x0 * y + (x - x0) * y0.
+        """
         if self.kind != NILPOTENT:
             return x * y
-        d: dict = {}
-        for (a1, b1), c1 in x.terms:
-            for (a2, b2), c2 in y.terms:
-                if b1 != 0 and b2 != 0:
-                    continue  # t_i t_j = 0 for i, j != 0
-                k = (a1 + a2, b1 + b2)
-                prod = c1 * c2
-                d[k] = d[k] + prod if k in d else prod
-        return Local2DElement.from_dict(x.field, d)
+        x0, y0 = (Local2DElement(z.field, tuple(kc for kc in z.terms if kc[0][1] == 0))
+                  for z in (x, y))
+        return x0 * y + (x - x0) * y0
 
 
 def make_datum(kind: str, twist: int = 0) -> GeometricDatum:
@@ -122,16 +116,17 @@ def _build_level(g: GeometricDatum, b: int, side: str, w: Window2D, fld: Field):
     return echelonize(rows, 1, w.u_lo, w.u_hi, True, field=fld)
 
 
-def _interior_generators(g: GeometricDatum, side: str, w: Window2D, fld: Field):
-    interior = w.interior()
-    gens = []
-    for b in range(interior.t_lo, interior.t_hi):
+def _monomials(g: GeometricDatum, side: str, w: Window2D):
+    """(a, b) of every monomial u^a t^b of the side inside the window, b-major."""
+    for b in range(w.t_lo, w.t_hi):
         bound = g.level_bound(b, side)
-        if bound is None:
-            continue
-        for a in range(interior.u_lo, min(bound, interior.u_hi - 1) + 1):
-            gens.append((Local2DElement.monomial(fld, a, b),))
-    return tuple(gens)
+        if bound is not None:
+            yield from ((a, b) for a in range(w.u_lo, min(bound, w.u_hi - 1) + 1))
+
+
+def _interior_generators(g: GeometricDatum, side: str, w: Window2D, fld: Field):
+    return tuple((Local2DElement.monomial(fld, a, b),)
+                 for a, b in _monomials(g, side, w.interior()))
 
 
 def forward_krichever(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> SchurPair:
@@ -203,26 +198,19 @@ class OrderGroupReport:
 def order_group(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> OrderGroupReport:
     """Nonnegative generator of the t-orders of invertible pairs found in the window.
 
-    Scans window monomials of the algebra side for pairs multiplying to 1
-    under the datum's own product; d = 0 with the window-limited caveat means
-    only order-zero invertibles were found.
+    Pairs each window monomial u^a t^b (b > 0) of the algebra side with its
+    partner u^-a t^-b, when that is one too, and keeps the pairs multiplying
+    to 1 under the datum's own product; the witness has the least t-order.
+    d = 0 with the window-limited caveat means only order-zero invertibles
+    were found.
     """
-    orders = set()
-    witness = None
-    for b in range(w.t_lo, w.t_hi):
-        bound = g.level_bound(b, "A")
-        if bound is None:
-            continue
-        for a in range(w.u_lo, min(bound, w.u_hi - 1) + 1):
-            if not (w.contains(-a, -b) and g.contains_monomial(-a, -b)):
-                continue
-            x = Local2DElement.monomial(fld, a, b)
-            y = Local2DElement.monomial(fld, -a, -b)
-            if b > 0 and g.product(x, y) == Local2DElement.one(fld):
-                orders.add(b)
-                if witness is None or b < witness[0][1]:
-                    witness = ((a, b), (-a, -b))
-    d = math.gcd(*orders) if orders else 0
+    monomials = list(_monomials(g, "A", w))
+    present = set(monomials)
+    found = [(a, b) for a, b in monomials if b > 0 and (-a, -b) in present
+             and g.product(Local2DElement.monomial(fld, a, b),
+                           Local2DElement.monomial(fld, -a, -b)) == Local2DElement.one(fld)]
+    d = math.gcd(*(b for _a, b in found))
+    witness = (found[0], (-found[0][0], -found[0][1])) if found else None
     return OrderGroupReport(d, witness, window_limited=(d == 0))
 
 

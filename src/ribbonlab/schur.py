@@ -104,6 +104,10 @@ class LayeredSubspace:
             (json_int(entry["b"], "level b"), WindowedSubspace.from_json(entry["space"], fld))
             for entry in obj["levels"]
         )
+        for vec in obj["generators"]:
+            for c, e in enumerate(vec, 1):
+                if "component" in e and json_int(e["component"], "component") != c:
+                    raise ConfigError(f"witness component {e['component']} sits at position {c}")
         generators = tuple(
             tuple(Local2DElement.from_json(e, fld) for e in vec)
             for vec in obj["generators"]

@@ -1,4 +1,4 @@
-"""Seeded random elements and window helpers for the property suites.
+"""Seeded random elements, window helpers and datum queries for the property suites.
 
 Each generator draws a term's key before its coefficient, so a seed always
 yields the same sequence of elements.
@@ -33,3 +33,9 @@ def enlarged(w: Window2D, radius: int) -> Window2D:
     """``w`` widened by ``radius`` on every side, margins kept."""
     return Window2D(w.t_lo - radius, w.t_hi + radius, w.u_lo - radius, w.u_hi + radius,
                     w.m_t, w.m_u)
+
+
+def contains_monomial(g, a: int, b: int, side: str = "A") -> bool:
+    """Whether u^a t^b lies on the datum's side, read off its ``level_bound``."""
+    bound = g.level_bound(b, side)
+    return bound is not None and a <= bound

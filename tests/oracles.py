@@ -117,6 +117,23 @@ def local2d_reference(x: Local2DElement, y: Local2DElement, op: str) -> Local2DE
     return Local2DElement.from_dict(x.field, d)
 
 
+def nilpotent_product(x: Local2DElement, y: Local2DElement) -> Local2DElement:
+    """x * y under the nilpotent rule t_i t_j = 0 for i, j != 0, one term pair at a time.
+
+    Reference for ``GeometricDatum.product`` on the nilpotent datum, which
+    builds the product from ring products of t^0 parts instead.
+    """
+    d: dict = {}
+    for (a1, b1), c1 in x.terms:
+        for (a2, b2), c2 in y.terms:
+            if b1 != 0 and b2 != 0:
+                continue  # t_i t_j = 0 for i, j != 0
+            k = (a1 + a2, b1 + b2)
+            prod = c1 * c2
+            d[k] = d[k] + prod if k in d else prod
+    return Local2DElement.from_dict(x.field, d)
+
+
 def t_slice_reference(x: Local2DElement, b: int) -> LaurentPoly:
     """The t^b coefficient of x, gathered into a dict and rebuilt by ``from_dict``."""
     return LaurentPoly.from_dict(x.field, {a: c.value for (a, bb), c in x.terms if bb == b})

@@ -340,9 +340,18 @@ def set_rank(side, r):
         entry["space"].update(r=r, rows=[])
 
 
+def set_level_field(side, b, tag):
+    """Tag every polynomial in the level-b rows of a pair side with the field ``tag``."""
+    for vec in next(e for e in side["levels"] if e["b"] == b)["space"]["rows"]:
+        for poly in vec:
+            poly["field"] = tag
+
+
 # each level b of the window appears exactly once, and r >= 1: otherwise a
 # second copy of a level, or one outside the window, would be dropped
-# unread, and r would scale the index of an empty side
+# unread, and r would scale the index of an empty side; a level polynomial
+# over another field, or a witness component away from its position, was
+# once loaded as it stood
 SIDE_EDITS = {
     "level-repeated-last": lambda W: W["levels"].append(empty_level(W, 0)),
     "level-repeated-first": lambda W: W["levels"].insert(0, empty_level(W, 0)),
@@ -350,6 +359,8 @@ SIDE_EDITS = {
     "level-missing": lambda W: W["levels"].remove(next(e for e in W["levels"] if e["b"] == 0)),
     "rank-minus-one": lambda W: set_rank(W, -1),
     "rank-zero": lambda W: set_rank(W, 0),
+    "level-field-mismatch": lambda W: set_level_field(W, 3, "Fp:7"),
+    "witness-component-wrong": lambda W: W["generators"][0][0].update(component=5),
 }
 
 

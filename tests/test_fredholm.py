@@ -3,8 +3,8 @@ import random
 import pytest
 
 from oracles import brute_index, brute_membership, random_windowed_rows
-from ribbonlab.errors import (NotCocompactError, SupportViolationError,
-                              WindowTooSmallError)
+from ribbonlab.errors import (FieldMismatchError, NotCocompactError,
+                              SupportViolationError, WindowTooSmallError)
 from ribbonlab.fredholm import (Verdict, direct_sum, echelonize, enlarge,
                                 fredholm_index, membership, pivot_profile)
 from ribbonlab.series import QQ, Field, LaurentPoly
@@ -49,6 +49,16 @@ def test_echelonize_absorbs_below_window_only_when_full():
         echelonize([vec(lp({-9: 1, 0: 1}))], 1, -8, 8, False)
     with pytest.raises(SupportViolationError):
         echelonize([vec(lp({8: 1}))], 1, -8, 8, True)
+
+
+def test_echelonize_rejects_a_component_over_another_field():
+    # with field= given, and without it against the first component's field
+    with pytest.raises(FieldMismatchError):
+        echelonize([vec(lp({0: 1}, F13))], 1, -4, 4, True, field=QQ)
+    with pytest.raises(FieldMismatchError):
+        echelonize([vec(lp({0: 1})), vec(lp({1: 1}, F13))], 1, -4, 4, True)
+    W = echelonize([vec(lp({0: 1}, Field(13)))], 1, -4, 4, True, field=F13)
+    assert W.row_vectors() == [vec(lp({0: 1}, F13))]
 
 
 def test_membership_examples():

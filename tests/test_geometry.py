@@ -1,8 +1,11 @@
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import chi, section_monomial_allowed
+from fixtures import contains_monomial, random_local2d
+from oracles import chi, nilpotent_product, section_monomial_allowed
 from ribbonlab.errors import (ConfigError, DegreeBoundError,
                               UnsupportedDatumError, WindowTooSmallError)
 from ribbonlab.fredholm import Verdict, echelonize, pivot_profile
@@ -14,7 +17,7 @@ from ribbonlab.geometry import (PROJECTIVE_KINDS, NodalCubicRing,
 from ribbonlab.local2d import Local2DElement, Window2D
 from ribbonlab.schur import (LayeredSubspace, _route_check, check_schur_pair,
                              layered_membership)
-from ribbonlab.series import QQ
+from ribbonlab.series import QQ, Field
 
 W_AC = Window2D(-4, 4, -8, 8, 2, 2)
 W_WIDE = Window2D(-4, 4, -12, 12, 2, 2)
@@ -26,8 +29,8 @@ def test_monomial_criterion_matches_pole_divisor_oracle():
         g = make_datum("p2-line", m)
         for a in range(-10, 10):
             for b in range(-6, 6):
-                assert g.contains_monomial(a, b, "W") == section_monomial_allowed(a, b, m)
-                assert g.contains_monomial(a, b, "A") == section_monomial_allowed(a, b, 0)
+                assert contains_monomial(g, a, b, "W") == section_monomial_allowed(a, b, m)
+                assert contains_monomial(g, a, b, "A") == section_monomial_allowed(a, b, 0)
 
 
 def test_forward_levels_match_criterion():
@@ -233,6 +236,16 @@ def test_nilpotent_datum_product_relations():
     assert g.product(one, t) == t
     mixed = one + t
     assert g.product(mixed, mixed) == one + t + t  # t*t dies, cross terms survive
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from([QQ, Field(7), Field(2**31 - 1)]))
+def test_datum_products_match_term_pair_oracle(seed, field):
+    rng = random.Random(seed)
+    x, y = (random_local2d(rng, field, lo=-2, hi=2, max_terms=6) for _ in range(2))
+    assume(len(x.terms) > 1 and len(y.terms) > 1)
+    assert make_datum("nilpotent").product(x, y) == nilpotent_product(x, y)
+    assert make_datum("p2-line").product(x, y) == x * y
 
 
 def test_nodal_ring_confluence_on_basis():
