@@ -64,14 +64,20 @@ def reduce_vector(v: dict, pivots: dict) -> dict:
     leaves v's coefficients at the other pivots unchanged, so the multiple
     of each row is read off v in one pass over v's support.  Each multiple
     is subtracted in place from one working copy of v; v itself is not
-    modified.
+    modified.  The pivot entry is dropped without arithmetic: the multiple
+    of a row is v's coefficient c at its pivot, the row is 1 there, and no
+    other row touches that key, so c - c * 1 is exactly zero.  Only the
+    row's other entries are multiplied and subtracted.
     """
     rem = {k: c for k, c in v.items() if c}
     for k, c in v.items():
         row = pivots.get(k)
         if row is None or not c:
             continue
+        del rem[k]
         for k2, x in row.items():
+            if k2 == k:
+                continue
             y = x * c
             w = rem.get(k2)
             if w is None:

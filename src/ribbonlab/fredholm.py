@@ -46,7 +46,14 @@ def _row_to_vector(row: tuple, r: int, field: Field) -> tuple:
 
 @dataclass(frozen=True)
 class WindowedSubspace:
-    """Echelonized window model; rows stored canonically sorted by pivot."""
+    """Echelonized window model; rows stored canonically sorted by pivot.
+
+    ``rows`` must be in reduced echelon form: pivot coefficient exactly 1 and
+    every row zero at every other row's pivot.  ``membership`` relies on it,
+    since ``_linalg.reduce_vector`` drops each pivot entry without
+    arithmetic.  ``echelonize``, the only place in the package that builds a
+    WindowedSubspace, guarantees it.
+    """
 
     field: Field
     r: int
@@ -84,7 +91,7 @@ class WindowedSubspace:
     def from_json(obj: dict, field: Field) -> "WindowedSubspace":
         if type(obj["full_below"]) is not bool:
             raise ConfigError(f"full_below {obj['full_below']!r} is not true or false")
-        rows = [tuple(LaurentPoly.from_json(p) for p in vec) for vec in obj["rows"]]
+        rows = [tuple(LaurentPoly.from_json(p, field) for p in vec) for vec in obj["rows"]]
         return echelonize(rows, json_int(obj["r"], "rank r"), json_int(obj["u_lo"], "u_lo"),
                           json_int(obj["u_hi"], "u_hi"), obj["full_below"], field=field)
 

@@ -110,9 +110,17 @@ class Local2DElement:
             raise FieldMismatchError(f"{self.field.tag} vs {other.field.tag}")
 
     def _merge(self, other: "Local2DElement", negate: bool) -> "Local2DElement":
-        """self + other, or self - other when ``negate``: one merge of two sorted runs."""
+        """self + other, or self - other when ``negate``: one merge of two sorted runs.
+
+        Subtracting an element whose terms equal a leading block of self's
+        returns self's remaining terms as they are, with no coefficient
+        touched: that is ``layered_membership``'s lift subtraction.  The test
+        compares terms exactly, so a block that differs anywhere is merged.
+        """
         self._check(other)
         x, y = self.terms, other.terms
+        if negate and x[:len(y)] == y:
+            return Local2DElement(self.field, x[len(y):])
         out = []
         i = j = 0
         while i < len(x) and j < len(y):

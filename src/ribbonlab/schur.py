@@ -25,7 +25,7 @@ from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
                      WindowMismatchError, WindowTooSmallError)
 from .fredholm import (Verdict, WindowedSubspace, direct_sum,
                        fredholm_index, membership)
-from .local2d import Local2DElement, Window2D, ord_t_vector
+from .local2d import Local2DElement, Window2D
 from .series import Field, LaurentPoly, json_int
 
 
@@ -174,36 +174,41 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
     Components are canonical (see ``Local2DElement``), so with b the least
     t-order, the t^b slice of a component is the leading block of its terms.
     The slice and its lift t^b * slice are built from that block as they
-    are, with no coefficient coerced again.
+    are, with no coefficient coerced again.  The lift is the remainder's own
+    leading block, so subtracting it drops that block without arithmetic
+    (see ``Local2DElement._merge``).
     """
     w = L.window
+    fld = L.field
     vec = as_vector(x, L.r)
     for comp in vec:
-        if comp.field is not L.field and comp.field != L.field:
-            raise FieldMismatchError(f"{comp.field.tag} vs {L.field.tag}")
+        if comp.field is not fld and comp.field != fld:
+            raise FieldMismatchError(f"{comp.field.tag} vs {fld.tag}")
         for (a, b), _c in comp.terms:
             if not w.contains(a, b):
                 raise SupportViolationError(f"term u^{a} t^{b} outside the window")
     rem = list(vec)
-    while any(rem):
-        b = ord_t_vector(rem)
+    while True:
+        lead = [comp.terms[0][0][1] for comp in rem if comp.terms]
+        if not lead:
+            return Verdict.IN
+        b = min(lead)
         if b >= w.t_trusted_hi:
             return Verdict.INCONCLUSIVE
-        blocks = []
+        blocks, slices = [], []
         for comp in rem:
+            terms = comp.terms
             n = 0
-            for (_a, bb), _c in comp.terms:
+            for (_a, bb), _c in terms:
                 if bb != b:
                     break
                 n += 1
-            blocks.append(comp.terms[:n])
-        slice_vec = tuple(LaurentPoly(L.field, tuple((a, c) for (a, _), c in block))
-                          for block in blocks)
-        if membership(L.level(b), slice_vec) is Verdict.NOT_IN:
+            block = terms[:n]
+            blocks.append(block)
+            slices.append(LaurentPoly(fld, tuple([(a, c) for (a, _b), c in block])))
+        if membership(L.level(b), tuple(slices)) is Verdict.NOT_IN:
             return Verdict.NOT_IN
-        lift = tuple(Local2DElement(L.field, block) for block in blocks)
-        rem = [rem_c - lift_c for rem_c, lift_c in zip(rem, lift)]
-    return Verdict.IN
+        rem = [comp - Local2DElement(fld, block) for comp, block in zip(rem, blocks)]
 
 
 def _route_check(L: LayeredSubspace, vec) -> str:

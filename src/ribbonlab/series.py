@@ -222,11 +222,12 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field.tag,
-            "coeffs": [[e, self.field.format(c)] for e, c in self.coeffs],
-        }
+        """The coefficients alone; the field is the enclosing pair's."""
+        return {"coeffs": [[e, self.field.format(c)] for e, c in self.coeffs]}
 
     @staticmethod
-    def from_json(obj: dict) -> "LaurentPoly":
-        return LaurentPoly.from_dict(Field.from_tag(obj["field"]), obj["coeffs"])
+    def from_json(obj: dict, field: Field) -> "LaurentPoly":
+        """Read a polynomial over ``field``; a ``"field"`` tag is optional but must name it."""
+        if "field" in obj and Field.from_tag(obj["field"]) != field:
+            raise FieldMismatchError(f"polynomial tagged {obj['field']} in a {field.tag} pair")
+        return LaurentPoly.from_dict(field, obj["coeffs"])

@@ -9,6 +9,7 @@ imports the package's sparse echelon engine.
 
 from __future__ import annotations
 
+from ribbonlab.fredholm import Verdict
 from ribbonlab.local2d import Local2DElement
 from ribbonlab.series import Field, LaurentPoly
 
@@ -137,6 +138,27 @@ def nilpotent_product(x: Local2DElement, y: Local2DElement) -> Local2DElement:
 def t_slice_reference(x: Local2DElement, b: int) -> LaurentPoly:
     """The t^b coefficient of x, gathered into a dict and rebuilt by ``from_dict``."""
     return LaurentPoly.from_dict(x.field, {a: c.value for (a, bb), c in x.terms if bb == b})
+
+
+def slicewise_membership(L, vec) -> Verdict:
+    """Membership in a layered subspace, one t^b slice at a time, by dense rank.
+
+    Reference for ``schur.layered_membership``.  L is the direct sum of
+    t^b * level_b, so vec lies in L iff each t^b slice of vec lies in
+    level_b.  The slices are taken in increasing b and tested with
+    ``brute_membership``.  The first nonzero slice at or above the trusted
+    t-top makes the verdict Inconclusive; before that, the first slice
+    outside its level makes it NotIn.
+    """
+    w = L.window
+    for b in sorted({b for x in vec for (_a, b), _c in x.terms}):
+        if b >= w.t_trusted_hi:
+            return Verdict.INCONCLUSIVE
+        slice_vec = tuple(t_slice_reference(x, b) for x in vec)
+        if not brute_membership(L.level(b).row_vectors(), slice_vec, L.field, L.r,
+                                w.u_lo, w.u_hi):
+            return Verdict.NOT_IN
+    return Verdict.IN
 
 
 def _dense_basis(r: int, u_lo: int, u_hi: int):

@@ -15,7 +15,7 @@ def in_field(field, row):
 
 
 @settings(max_examples=200, deadline=None)
-@given(field=st.sampled_from([QQ, Field(31)]), rows=st.lists(ROWS, max_size=8),
+@given(field=st.sampled_from([QQ, Field(31), Field(2 ** 31 - 1)]), rows=st.lists(ROWS, max_size=8),
        extra=ROWS, multiples=st.lists(st.integers(-3, 3), max_size=8))
 def test_reduce_vector_matches_row_scan(field, rows, extra, multiples):
     basis = _linalg.echelon([in_field(field, row) for row in rows])

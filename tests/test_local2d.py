@@ -171,10 +171,31 @@ def assert_canonical(terms, field):
     assert all(type(c) is Scalar and c and c.field == field for _, c in terms)
 
 
+def second_operand(data, field, x, kind):
+    """A random element, or x's leading block of n terms in one of three forms.
+
+    "same" reuses x's term objects, as the lift in ``layered_membership``
+    does; "copy" is an equal block built separately; "changed" is the block
+    with one coefficient moved by 1, so it is no longer x's block.
+    """
+    if kind == "random":
+        return data.draw(elements(field))
+    block = x.terms[:data.draw(st.integers(0, len(x.terms)))]
+    if kind == "same":
+        return Local2DElement(field, block)
+    values = [(k, c.value) for k, c in block]
+    if kind == "changed" and values:
+        i = data.draw(st.integers(0, len(values) - 1))
+        values[i] = (values[i][0], values[i][1] + 1)
+    return Local2DElement.from_dict(field, values)
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), field=st.sampled_from([QQ, F31, F_MERSENNE]), b=st.integers(-2, 2))
-def test_ops_match_dict_reference_and_stay_canonical(data, field, b):
-    x, y = data.draw(elements(field)), data.draw(elements(field))
+@given(data=st.data(), field=st.sampled_from([QQ, F31, F_MERSENNE]), b=st.integers(-2, 2),
+       kind=st.sampled_from(["random", "same", "copy", "changed"]))
+def test_ops_match_dict_reference_and_stay_canonical(data, field, b, kind):
+    x = data.draw(elements(field))
+    y = second_operand(data, field, x, kind)
     for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
         assert got == local2d_reference(x, y, op)
         assert_canonical([((bb, a), c) for (a, bb), c in got.terms], field)

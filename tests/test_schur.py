@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from oracles import brute_membership, random_windowed_rows
+from oracles import brute_membership, random_windowed_rows, slicewise_membership
 from ribbonlab.errors import (ConfigError, FieldMismatchError,
                               RangeViolationError, SupportViolationError,
                               WindowMismatchError, WindowTooSmallError)
@@ -505,3 +505,60 @@ def test_layered_membership_coerces_nothing(monkeypatch):
     assert lift_and_subtract(L, (x,)) is Verdict.IN
     with pytest.raises(FieldMismatchError):
         layered_membership(L, Local2DElement.from_dict(Field(7), {(0, 0): 1}))
+
+
+F_MERSENNE = Field(2 ** 31 - 1)
+# nonzero in both fields; 2^30 and 2^31 - 2 make F_(2^31-1) products wrap
+NONZERO = st.sampled_from([-3, -2, -1, 1, 2, 3, 2 ** 30, 2 ** 31 - 2])
+
+
+@st.composite
+def non_monomial_levels_and_vector(draw):
+    """Levels echelonized from random rows of two to four terms, and a vector
+    summing t^b times combinations of level-b rows, plus maybe one stray term.
+
+    Reduced rows keep entries past their pivots, which neither benchmark
+    pair has, so membership subtracts whole rows here.  Returns the layered
+    subspace, the vector and whether a stray term was added.
+    """
+    field = draw(st.sampled_from([QQ, F_MERSENNE]))
+    r = draw(st.integers(1, 2))
+    w = Window2D(-1, 3, -3, 3, 1, 1)
+    keys = st.tuples(st.integers(w.u_lo, w.u_hi - 1), st.integers(0, r - 1))
+    levels = []
+    for b in range(w.t_lo, w.t_hi):
+        rows = []
+        for row in draw(st.lists(st.dictionaries(keys, NONZERO, min_size=2, max_size=4),
+                                 max_size=3)):
+            rows.append(tuple(LaurentPoly.from_dict(field, {e: x for (e, c), x in row.items()
+                                                            if c == comp})
+                              for comp in range(r)))
+        levels.append((b, echelonize(rows, r, w.u_lo, w.u_hi, draw(st.booleans()),
+                                     field=field)))
+    L = LayeredSubspace(field, r, w, tuple(levels), ())
+    comps = [{} for _ in range(r)]
+    for b, lvl in levels:
+        for row in lvl.row_vectors():
+            m = draw(st.integers(-2, 2))
+            for c, p in enumerate(row):
+                for e, x in p.coeffs:
+                    comps[c][(e, b)] = comps[c].get((e, b), 0) + m * x.value
+    stray = draw(st.booleans())
+    if stray:
+        a, b = draw(st.integers(w.u_lo, w.u_hi - 1)), draw(st.integers(w.t_lo, w.t_hi - 1))
+        comp = comps[draw(st.integers(0, r - 1))]
+        comp[(a, b)] = comp.get((a, b), 0) + draw(NONZERO)
+    return L, tuple(Local2DElement.from_dict(field, comp) for comp in comps), stray
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_monomial_levels_and_vector())
+def test_layered_membership_on_non_monomial_levels(case):
+    L, vec, stray = case
+    verdict = layered_membership(L, vec)
+    event(verdict.value)
+    event("rows past the pivot" if any(len(row) > 1 for _b, lvl in L.levels for row in lvl.rows)
+          else "monomial rows only")
+    assert verdict is slicewise_membership(L, vec)
+    if not stray:
+        assert verdict is not Verdict.NOT_IN

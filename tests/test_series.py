@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ribbonlab.errors import ConfigError
+from ribbonlab.errors import ConfigError, FieldMismatchError
 from ribbonlab.series import QQ, Field, LaurentPoly
 
 F7 = Field(7)
@@ -39,11 +39,22 @@ def test_prime_field_division():
 def test_json_roundtrip_and_format():
     x = lp(QQ, {-2: "3/4", 1: 2})
     obj = x.to_json()
-    assert obj == {"field": "Q", "coeffs": [[-2, "3/4"], [1, "2/1"]]}
-    assert LaurentPoly.from_json(obj) == x
+    assert obj == {"coeffs": [[-2, "3/4"], [1, "2/1"]]}
+    assert LaurentPoly.from_json(obj, QQ) == x
     y = lp(F7, {0: 5})
-    assert y.to_json() == {"field": "Fp:7", "coeffs": [[0, "5"]]}
-    assert LaurentPoly.from_json(y.to_json()) == y
+    assert y.to_json() == {"coeffs": [[0, "5"]]}
+    assert LaurentPoly.from_json(y.to_json(), F7) == y
+
+
+def test_from_json_field_tag_is_optional_but_checked():
+    # the field comes from the enclosing pair; a tag, if present, must name it
+    obj = {"coeffs": [[0, "5"]]}
+    assert LaurentPoly.from_json(dict(obj, field="Fp:7"), F7) == LaurentPoly.from_json(obj, F7)
+    assert LaurentPoly.from_json(dict(obj, field="Fp:7"), Field(7)).field == F7
+    with pytest.raises(FieldMismatchError):
+        LaurentPoly.from_json(dict(obj, field="Q"), F7)
+    with pytest.raises(ConfigError, match="field tag"):
+        LaurentPoly.from_json(dict(obj, field=7), F7)
 
 
 def test_coeffs_sorted_ascending():
