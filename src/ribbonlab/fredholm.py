@@ -136,16 +136,20 @@ def membership(W: WindowedSubspace, vec: Sequence[LaurentPoly]) -> Verdict:
 
     The vector's support must lie inside the window; terms below u_lo count as
     zero only through the full_below tail of the rows themselves, a vector
-    poking outside is rejected.  The rows must be in reduced echelon form,
-    which ``echelonize`` guarantees: the reduction reads each row's multiple
-    off the vector's coefficient at that row's pivot.
+    poking outside is rejected; a component's exponents are sorted, so only
+    its first and last are compared with the window.  The rows must be in
+    reduced echelon form, which ``echelonize`` guarantees: the reduction reads
+    each row's multiple off the vector's coefficient at that row's pivot.
     """
     if len(vec) != W.r:
         raise SupportViolationError(f"vector has {len(vec)} components, expected {W.r}")
+    u_lo, u_hi = W.u_lo, W.u_hi
+    for poly in vec:
+        if poly.coeffs:
+            for e in (poly.coeffs[0][0], poly.coeffs[-1][0]):
+                if not u_lo <= e < u_hi:
+                    raise SupportViolationError(f"exponent {e} outside window [{u_lo}, {u_hi})")
     row = _vector_to_row(vec)
-    for (e, _c) in row:
-        if not (W.u_lo <= e < W.u_hi):
-            raise SupportViolationError(f"exponent {e} outside window [{W.u_lo}, {W.u_hi})")
     rem = _linalg.reduce_vector(row, W.pivot_rows)
     return Verdict.IN if not rem else Verdict.NOT_IN
 

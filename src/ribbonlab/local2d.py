@@ -152,15 +152,36 @@ class Local2DElement:
         return self._merge(other, True)
 
     def __mul__(self, other: "Local2DElement") -> "Local2DElement":
+        """Product; a one-term factor c u^a t^b shifts the other factor's terms.
+
+        Adding (a, b) to every key keeps the (b, a) order, and c times a
+        nonzero coefficient is nonzero in a field, so a shift needs no sort and
+        no zero test.  Otherwise only a key where two term pairs met can sum
+        to zero, so only those keys are tested.
+        """
         self._check(other)
+        x, y = self.terms, other.terms
+        if len(x) == 1:
+            x, y = y, x
+        if len(y) == 1:
+            ((a2, b2), c2), = y
+            return Local2DElement(self.field, tuple(
+                ((a1 + a2, b1 + b2), c1 * c2) for (a1, b1), c1 in x))
         d: dict = {}  # keyed (b, a), so sorting the keys gives the term order
-        for (a1, b1), c1 in self.terms:
-            for (a2, b2), c2 in other.terms:
+        met = set()
+        for (a1, b1), c1 in x:
+            for (a2, b2), c2 in y:
                 k = (b1 + b2, a1 + a2)
                 prod = c1 * c2
-                d[k] = d[k] + prod if k in d else prod
-        return Local2DElement(self.field, tuple(
-            ((a, b), c) for (b, a), c in sorted(d.items()) if c))
+                if k in d:
+                    d[k] = d[k] + prod
+                    met.add(k)
+                else:
+                    d[k] = prod
+        for k in met:
+            if not d[k]:
+                del d[k]
+        return Local2DElement(self.field, tuple(((a, b), c) for (b, a), c in sorted(d.items())))
 
     def ord_t(self) -> int:
         """Minimal t-exponent carrying a nonzero term; undefined for zero."""

@@ -188,6 +188,10 @@ class Scalar:
     def __bool__(self):
         return self.value != 0
 
+    def __hash__(self):
+        # equal Scalars have equal values; hashing the value alone skips the Field's hash
+        return hash(self.value)
+
     def __str__(self):
         return self.field.format(self)
 

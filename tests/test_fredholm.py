@@ -75,6 +75,18 @@ def test_membership_support_violation():
     assert membership(W, vec(lp({-3: 1, -1: 1}))) is Verdict.IN
 
 
+@pytest.mark.parametrize("vector, exponent", [
+    (vec(lp({-5: 1, 0: 1})), -5),             # first exponent below u_lo
+    (vec(lp({-4: 1, 4: 1})), 4),              # last exponent at u_hi
+    (vec(lp({0: 1, 6: 1})), 6),               # last exponent above u_hi
+    (vec(lp({-1: 1}), lp({-2: 1, 5: 1})), 5),  # only the second component pokes out
+])
+def test_membership_window_check_at_both_ends(vector, exponent):
+    W = echelonize([], len(vector), -4, 4, True, field=QQ)
+    with pytest.raises(SupportViolationError, match=f"exponent {exponent} outside window"):
+        membership(W, vector)
+
+
 def test_index_projective_line_profile():
     W = monomial_space(range(-4, 1), -4, 4)
     assert fredholm_index(W) == 1  # chi of the trivial twist on the line

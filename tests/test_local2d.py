@@ -172,14 +172,19 @@ def assert_canonical(terms, field):
 
 
 def second_operand(data, field, x, kind):
-    """A random element, or x's leading block of n terms in one of three forms.
+    """A random element, a one-term element, or x's leading block of n terms in one of three forms.
 
-    "same" reuses x's term objects, as the lift in ``layered_membership``
-    does; "copy" is an equal block built separately; "changed" is the block
-    with one coefficient moved by 1, so it is no longer x's block.
+    "one-term" takes ``__mul__``'s shift path; its coefficient draws from the
+    same values, -1 and p - 1 over F_(2^31 - 1) among them.  "same" reuses
+    x's term objects, as the lift in ``layered_membership`` does; "copy" is
+    an equal block built separately; "changed" is the block with one
+    coefficient moved by 1, so it is no longer x's block.
     """
     if kind == "random":
         return data.draw(elements(field))
+    if kind == "one-term":
+        c = data.draw(VALUES[field].filter(lambda v: field.scalar(v)))
+        return Local2DElement.from_dict(field, {data.draw(KEYS_2D): c})
     block = x.terms[:data.draw(st.integers(0, len(x.terms)))]
     if kind == "same":
         return Local2DElement(field, block)
@@ -192,16 +197,42 @@ def second_operand(data, field, x, kind):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), field=st.sampled_from([QQ, F31, F_MERSENNE]), b=st.integers(-2, 2),
-       kind=st.sampled_from(["random", "same", "copy", "changed"]))
+       kind=st.sampled_from(["random", "one-term", "same", "copy", "changed"]))
 def test_ops_match_dict_reference_and_stay_canonical(data, field, b, kind):
     x = data.draw(elements(field))
     y = second_operand(data, field, x, kind)
+    if kind == "one-term" and data.draw(st.booleans()):
+        x, y = y, x
     for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
         assert got == local2d_reference(x, y, op)
         assert_canonical([((bb, a), c) for (a, bb), c in got.terms], field)
     got = x.t_slice(b)
     assert got == t_slice_reference(x, b)
     assert_canonical(got.coeffs, field)
+
+
+@pytest.mark.parametrize("c", [-1, 2 ** 31 - 2])
+@pytest.mark.parametrize("swap", [False, True])
+def test_one_term_factor_shifts_the_other(c, swap):
+    # over F_(2^31 - 1), -1 and p - 1 are the same coefficient
+    x = el(F_MERSENNE, {(0, -1): 2, (-2, 0): 1, (1, 0): 2 ** 30, (0, 2): -2})
+    y = el(F_MERSENNE, {(3, -1): c})
+    if swap:
+        x, y = y, x
+    got = x * y
+    assert got == local2d_reference(x, y, "*")
+    assert got == el(F_MERSENNE, {(3, -2): -2, (1, -1): -1, (4, -1): -2 ** 30, (3, 1): 2})
+    assert_canonical([((bb, a), v) for (a, bb), v in got.terms], F_MERSENNE)
+    assert x * Local2DElement.zero(F_MERSENNE) == Local2DElement.zero(F_MERSENNE)
+
+
+def test_mul_key_cancelled_then_restored():
+    # at u^2 the pairs 1*u^2 and u*(-u) cancel, then u^2*1 brings the key back;
+    # u^1 and u^3 cancel for good
+    x = el(QQ, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
+    y = el(QQ, {(0, 0): 1, (1, 0): -1, (2, 0): 1})
+    assert x * y == el(QQ, {(0, 0): 1, (2, 0): 1, (4, 0): 1})
+    assert x * y == local2d_reference(x, y, "*")
 
 
 def test_separately_built_equal_fields_combine():

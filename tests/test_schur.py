@@ -11,7 +11,7 @@ from ribbonlab.errors import (ConfigError, FieldMismatchError,
 from ribbonlab.fredholm import Verdict, echelonize, membership, pivot_profile
 from ribbonlab.geometry import make_datum, forward_krichever
 from ribbonlab.local2d import Local2DElement, Window2D, ord_t_vector
-from ribbonlab.schur import (LayeredSubspace, SchurPair, _merge, _route_check,
+from ribbonlab.schur import (LayeredSubspace, Router, SchurPair, _merge, _route_check,
                              check_schur_pair, graded_slice, hilbert_function,
                              layered_membership, pair_equal_in_window,
                              point_ideal_check, scalar_times_vector)
@@ -326,6 +326,57 @@ def test_check_matches_unmemoised_reference_on_repeated_failures():
             if i <= j:
                 assert got["failures"].count(f"A-product #{i}*#{j} leaves A") == 1
     assert got["verdict"] == "fail"
+
+
+def test_check_matches_unmemoised_reference_on_failing_module_products():
+    # two copies of the W witness u^3 t^0, which lies above level 0 of W
+    # (twist 2); four A witnesses keep its product outside W, and the other
+    # products land in W, so a W-side label is kept exactly per failing pair
+    bad = mono(3, 0)
+    obj = forward_krichever(make_datum("p2-line", 2), W_AC).to_json()
+    first = len(obj["W"]["generators"])
+    obj["W"]["generators"] += [[bad.to_json(component=1)]] * 2
+    pair = SchurPair.from_json(obj)
+    leaving = [i for i, g in enumerate(pair.algebra.generators)
+               if _route_check(pair.module, scalar_times_vector(g[0], (bad,))) == "not-in"]
+    assert len(leaving) == 4
+    got = check_schur_pair(pair).to_json()
+    want = unmemoised_check(pair)
+    assert {k: got[k] for k in want} == want
+    for j in (first, first + 1):
+        assert got["failures"].count(f"W-generator #{j} fails membership") == 1
+        for i in range(len(pair.algebra.generators)):
+            label = f"module product A#{i}*W#{j} leaves W"
+            assert got["failures"].count(label) == (i in leaving)
+    assert sum(f.startswith("module product") for f in got["failures"]) == 8
+    assert got["module_closure"] == got["verdict"] == "fail"
+    assert got["subalgebra"] == "pass"
+
+
+def test_router_stays_exact_under_hash_collisions():
+    # hash(-1) == hash(-2) in CPython, so each pair of products below has
+    # colliding Router keys: one differs in an exponent, the other in a
+    # coefficient.  The first product of each pair is in L, the second is not.
+    w = Window2D(-1, 2, -4, 4, 0, 0)
+
+    def level(*rows):
+        rows = [(LaurentPoly.from_dict(QQ, r),) for r in rows]
+        return echelonize(rows, 1, w.u_lo, w.u_hi, True, field=QQ)
+
+    L = LayeredSubspace(QQ, 1, w, ((-1, level()), (0, level({-1: 1}, {0: 1, 1: -1})),
+                                   (1, level())))
+    cases = [
+        (mono(-1, 0), mono(-2, 0)),
+        (mono(0, 0) + mono(1, 0, -1), mono(0, 0) + mono(1, 0, -2)),
+    ]
+    for x, y in cases:
+        assert hash(("L", (x.terms,))) == hash(("L", (y.terms,)))
+        assert [_route_check(L, (x,)), _route_check(L, (y,))] == ["in", "not-in"]
+        for order in ((x, y), (y, x)):
+            route = Router(L=L)
+            for _ in range(3):
+                for p in order:
+                    assert route("L", (p,)) == _route_check(L, (p,))
 
 
 def test_merge_takes_the_most_severe_verdict():
