@@ -26,9 +26,11 @@ for row in report.levels:
 print(f"products checked decisively: {report.checked}, "
       f"deferred into margins: {report.deferred}, escaped: {report.escaped}")
 print(f"\noverall verdict: {report.verdict}")
+assert report.verdict == "pass", report.failures
 
 # shrink the margins to zero and the same construction exhausts the window:
 # some witness products leave it, and honesty demands 'inconclusive'
 tight = Window2D(-4, 4, -8, 8, 0, 0)
 verdict = check_schur_pair(forward_krichever(make_datum("p2-line", twist=2), tight)).verdict
 print(f"same pair with zero margins: {verdict}")
+assert verdict == "inconclusive", verdict

@@ -14,8 +14,8 @@ for m in range(4):
     table = level_index_table(make_datum("p2-line", twist=m), window)
     got = [table.index("W", b) for b in range(-3, 4)]
     want = [m - b + 1 for b in range(-3, 4)]
-    status = "ok" if got == want else "MISMATCH"
-    print(f"twist {m}: W-level indices b=-3..3 -> {got}  (closed form {want})  {status}")
+    assert got == want, f"twist {m}: W-level indices {got} differ from the closed form {want}"
+    print(f"twist {m}: W-level indices b=-3..3 -> {got}  (closed form {want})  ok")
 
 print()
 table = level_index_table(make_datum("p2-line", twist=0), window)

@@ -15,10 +15,12 @@ A = pair.algebra
 for j in (1, 2):
     table = [hilbert_function(A, j, n) for n in range(7)]
     print(f"hilbert function of the depth-{j} slice: {table}")
+    assert table == [(n + 1) + (n if j == 2 else 0) for n in range(7)], table
 
 point = point_ideal_check(A, n_max=6)
 print(f"\npoint-ideal colength-one jumps: {point.jumps} -> "
       f"{'the marked point is there and reduced' if point.ok else 'FAILED'}")
+assert point.ok, point.jumps
 
 # a level with a gap at exponent -1 breaks the colength-one pattern
 from ribbonlab.fredholm import echelonize
@@ -30,3 +32,4 @@ rows = [(LaurentPoly.from_dict(QQ, {a: 1}),) for a in list(range(-8, -1)) + [0]]
 gapped = LayeredSubspace(QQ, 1, w, ((0, echelonize(rows, 1, -8, 8, True)),), ())
 broken = point_ideal_check(gapped, n_max=4)
 print(f"gapped level-0 space: jumps {broken.jumps} -> pass={broken.ok}")
+assert not broken.ok, broken.jumps

@@ -37,5 +37,6 @@ stack_h1 = [ribbon_cohomology(LevelStack(tuple(-j for j in range(1, i + 1))), B)
             for i in range(1, 6)]
 print(f"\nunipotent Picard dimensions, depth 1..5: {dims}")
 print(f"h^1 of the level stacks of twists -1..-i:   {stack_h1}")
+assert dims == stack_h1, (dims, stack_h1)
 print(f"degree-quotient invariant d = {picard_dimension(g, 5, B).d} "
       "(so the discrete quotient vanishes and the unipotent part is everything)")

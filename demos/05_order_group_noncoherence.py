@@ -15,8 +15,9 @@ from ribbonlab import (NodalCubicRing, Window2D, make_datum, noncoherent_chain,
                        order_group)
 
 window = Window2D(-4, 4, -8, 8, 2, 2)
-for kind in ("p2-line", "even-variant", "nilpotent"):
+for kind, d in (("p2-line", 1), ("even-variant", 2), ("nilpotent", 0)):
     rep = order_group(make_datum(kind), window)
+    assert rep.d == d, (kind, rep.d)
     tag = " (synthetic)" if make_datum(kind).synthetic else ""
     wit = f", witness u^{rep.witness[0][0]} t^{rep.witness[0][1]}" if rep.witness else ""
     lim = ", search exhausted in window" if rep.window_limited else ""
@@ -27,4 +28,6 @@ chain = noncoherent_chain(ring, k_max=5, w=Window2D(-6, 1, -8, 8))
 print(f"\nnodal cubic, degree bound 8: dim(point ideal) = {ring.point_ideal_dim()}, "
       f"dim(its square) = {ring.point_ideal_sq_dim()}")
 print(f"truncated chain J_1 .. J_5 dimensions: {chain}")
+gap = ring.point_ideal_dim() - ring.point_ideal_sq_dim()
+assert [b - a for a, b in zip(chain, chain[1:])] == [gap] * 4 and gap > 0, chain
 print("constant step = ideal gap, so the ascending chain never stabilizes")

@@ -14,18 +14,16 @@ from .errors import (ConfigError, DegreeBoundError, FieldMismatchError,
                      SupportViolationError, TruncationBoundError,
                      UnsupportedDatumError, WindowMismatchError,
                      WindowTooSmallError, ZeroOrderError)
-from .fredholm import (Verdict, WindowedSubspace, direct_sum, echelonize,
-                       enlarge, fredholm_index, membership, pivot_profile)
+from .fredholm import (Verdict, WindowedSubspace, echelonize, fredholm_index,
+                       membership)
 from .geometry import (EVEN_VARIANT, KINDS, NILPOTENT, NODAL_CUBIC, P2_LINE,
                        GeometricDatum, LevelIndexTable, NodalCubicRing,
                        OrderGroupReport, RibbonAxiomReport, forward_krichever,
                        level_index_table, make_datum, noncoherent_chain,
                        order_group, validate_ribbon_axioms)
-from .local2d import (Local2DElement, TruncationResult, Window2D,
-                      ord_t_vector, truncate)
+from .local2d import Local2DElement, Window2D, ord_t_vector
 from .schur import (LayeredSubspace, PointIdealReport, SchurPair, SchurReport,
-                    check_schur_pair, graded_slice, hilbert_function,
-                    layered_membership, pair_equal_in_window,
+                    check_schur_pair, hilbert_function, layered_membership,
                     point_ideal_check)
 from .series import QQ, Field, LaurentPoly, Scalar
 

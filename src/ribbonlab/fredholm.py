@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 from . import _linalg
 from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
-                     SupportViolationError, WindowMismatchError, WindowTooSmallError)
+                     SupportViolationError, WindowTooSmallError)
 from .series import Field, LaurentPoly, json_int
 
 
@@ -154,9 +154,12 @@ def membership(W: WindowedSubspace, vec: Sequence[LaurentPoly]) -> Verdict:
     return Verdict.IN if not rem else Verdict.NOT_IN
 
 
-def pivot_profile(W: WindowedSubspace) -> frozenset:
-    """Set of (component, exponent) pivot pairs, components numbered from 1."""
-    return frozenset((c + 1, e) for (e, c) in W.pivots)
+def check_top_margin(W: WindowedSubspace, top_margin: int):
+    """Raise WindowTooSmallError if a pivot lies in the distrusted top u-margin."""
+    for (e, _c) in W.pivots:
+        if e >= W.u_hi - top_margin:
+            raise WindowTooSmallError(
+                f"pivot exponent {e} touches the top margin [{W.u_hi - top_margin}, {W.u_hi})")
 
 
 def fredholm_index(W: WindowedSubspace, top_margin: int = 0) -> int:
@@ -172,10 +175,7 @@ def fredholm_index(W: WindowedSubspace, top_margin: int = 0) -> int:
     if not (W.u_lo <= 0 < W.u_hi):
         raise WindowTooSmallError(
             "index against k[[u]]^r needs the window to straddle exponent 0")
-    for (e, _c) in W.pivots:
-        if e >= W.u_hi - top_margin:
-            raise WindowTooSmallError(
-                f"pivot exponent {e} touches the top margin [{W.u_hi - top_margin}, {W.u_hi})")
+    check_top_margin(W, top_margin)
     # exponent-major reduced echelon: a combination lies in F+ iff every
     # contributing row has pivot exponent >= 0, so both dimensions read off
     # the pivot profile.
@@ -183,39 +183,3 @@ def fredholm_index(W: WindowedSubspace, top_margin: int = 0) -> int:
     neg = len(W.pivots) - nonneg
     neg_window = W.r * max(0, min(0, W.u_hi) - W.u_lo)
     return nonneg - (neg_window - neg)
-
-
-def direct_sum(W1: WindowedSubspace, W2: WindowedSubspace) -> WindowedSubspace:
-    """Block-diagonal sum; ranks add, windows must agree."""
-    if (W1.u_lo, W1.u_hi) != (W2.u_lo, W2.u_hi):
-        raise WindowMismatchError("direct sum needs identical u-windows")
-    if W1.field != W2.field:
-        raise WindowMismatchError("direct sum needs a common field")
-    zero1 = tuple(LaurentPoly.zero(W1.field) for _ in range(W1.r))
-    zero2 = tuple(LaurentPoly.zero(W2.field) for _ in range(W2.r))
-    rows = [tuple(vec) + zero2 for vec in W1.row_vectors()]
-    rows += [zero1 + tuple(vec) for vec in W2.row_vectors()]
-    return echelonize(rows, W1.r + W2.r, W1.u_lo, W1.u_hi,
-                      W1.full_below and W2.full_below, field=W1.field)
-
-
-def enlarge(W: WindowedSubspace, u_lo: Union[int, None] = None,
-            u_hi: Union[int, None] = None) -> WindowedSubspace:
-    """Re-materialize the subspace on a larger window.
-
-    Widening the bottom of a full_below subspace turns the newly visible part
-    of the tail into explicit monomial rows, so index and membership verdicts
-    inside the old interior are unchanged.
-    """
-    new_lo = W.u_lo if u_lo is None else u_lo
-    new_hi = W.u_hi if u_hi is None else u_hi
-    if new_lo > W.u_lo or new_hi < W.u_hi:
-        raise WindowMismatchError("enlarge cannot shrink the window")
-    rows = [tuple(vec) for vec in W.row_vectors()]
-    if W.full_below:
-        for e in range(new_lo, W.u_lo):
-            for c in range(W.r):
-                vec = [LaurentPoly.zero(W.field) for _ in range(W.r)]
-                vec[c] = LaurentPoly.monomial(W.field, e)
-                rows.append(tuple(vec))
-    return echelonize(rows, W.r, new_lo, new_hi, W.full_below, field=W.field)

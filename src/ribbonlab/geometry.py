@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import _linalg
-from .errors import (ConfigError, DegreeBoundError, NotCocompactError,
-                     UnsupportedDatumError, WindowTooSmallError)
+from .errors import (ConfigError, DegreeBoundError, UnsupportedDatumError,
+                     WindowTooSmallError)
+# fredholm_index is unused here, but bench/tracing.py patches it by name (ROADMAP item 2)
 from .fredholm import echelonize, fredholm_index
 from .local2d import Local2DElement, Window2D
-from .schur import LayeredSubspace, Router, SchurPair
+from .schur import LayeredSubspace, Router, SchurPair, _index_or_marker
 from .series import QQ, Field, LaurentPoly
 
 P2_LINE = "p2-line"
@@ -171,15 +172,8 @@ def level_index_table(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> LevelI
     for b in range(w.t_lo, w.t_hi):
         entry = {"b": b}
         for side, layer in (("A", pair.algebra), ("W", pair.module)):
-            try:
-                entry[f"index_{side}"] = fredholm_index(layer.level(b), w.m_u)
-                entry[f"marker_{side}"] = None
-            except NotCocompactError:
-                entry[f"index_{side}"] = None
-                entry[f"marker_{side}"] = "not-cocompact"
-            except WindowTooSmallError:
-                entry[f"index_{side}"] = None
-                entry[f"marker_{side}"] = "window-too-small"
+            entry[f"index_{side}"], entry[f"marker_{side}"] = _index_or_marker(
+                layer.level(b), w.m_u)
         rows.append(entry)
     return LevelIndexTable(rows)
 

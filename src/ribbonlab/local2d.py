@@ -9,7 +9,7 @@ consumer applies the same interior-region convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ConfigError, FieldMismatchError, ZeroOrderError
 from .series import Field, LaurentPoly, json_int
@@ -35,9 +35,6 @@ class Window2D:
             raise ConfigError("margins must be nonnegative")
         if not (2 * self.m_t < self.t_hi - self.t_lo and 2 * self.m_u < self.u_hi - self.u_lo):
             raise ConfigError("margins must stay below half the window width")
-
-    def contains(self, a: int, b: int) -> bool:
-        return self.u_lo <= a < self.u_hi and self.t_lo <= b < self.t_hi
 
     @property
     def t_trusted_hi(self) -> int:
@@ -69,9 +66,9 @@ class Local2DElement:
     Canonical means: terms strictly increasing in (b, a), no zero
     coefficient, and every coefficient a Scalar of ``field``.  Only
     ``from_dict`` coerces, and ``from_json`` hands it the raw terms (together
-    they are the input boundary); the arithmetic, ``t_slice`` and
-    ``truncate`` build their results directly from canonical terms, so equal
-    elements have equal ``terms``.
+    they are the input boundary); the arithmetic and ``t_slice`` build
+    their results directly from canonical terms, so equal elements have
+    equal ``terms``.
     """
 
     field: Field
@@ -210,14 +207,3 @@ def ord_t_vector(vec: Sequence[Local2DElement]) -> int:
     if not orders:
         raise ZeroOrderError("ord_t of the zero vector is undefined")
     return min(orders)
-
-
-class TruncationResult(NamedTuple):
-    value: Local2DElement
-    dropped: bool
-
-
-def truncate(x: Local2DElement, w: Window2D) -> TruncationResult:
-    """Drop the terms outside the window and record whether anything was lost."""
-    kept = tuple((k, c) for k, c in x.terms if w.contains(*k))
-    return TruncationResult(Local2DElement(x.field, kept), len(kept) != len(x.terms))

@@ -1,4 +1,4 @@
-"""t-filtered subspaces of K^r, Schur-pair verification, graded slices and Hilbert data.
+"""t-filtered subspaces of K^r, Schur-pair verification and Hilbert data.
 
 A LayeredSubspace models a subspace L of k((u))((t))^r inside a rectangular
 window as the direct sum of t^b * levels[b], one WindowedSubspace per t-level
@@ -23,8 +23,7 @@ from typing import Sequence, Union
 from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
                      RangeViolationError, SupportViolationError,
                      WindowMismatchError, WindowTooSmallError)
-from .fredholm import (Verdict, WindowedSubspace, direct_sum,
-                       fredholm_index, membership)
+from .fredholm import Verdict, WindowedSubspace, check_top_margin, fredholm_index, membership
 from .local2d import Local2DElement, Window2D
 from .series import Field, LaurentPoly, json_int
 
@@ -401,22 +400,12 @@ def check_schur_pair(pair: SchurPair) -> SchurReport:
                        tallies["escaped"], failures)
 
 
-def graded_slice(L: LayeredSubspace, i: int, j: int) -> WindowedSubspace:
-    """Stacked model of (L ∩ O(i)^r)/(L ∩ O(j)^r): block b of the sum is levels[b]."""
-    w = L.window
-    if not (w.t_lo <= i < j <= w.t_hi):
-        raise RangeViolationError(f"need t_lo <= i < j <= t_hi, got ({i}, {j})")
-    out = L.level(i)
-    for b in range(i + 1, j):
-        out = direct_sum(out, L.level(b))
-    return out
-
-
 def hilbert_function(L: LayeredSubspace, j: int, n: int) -> int:
     """dim of (u^-n k[[u]] stack) ∩ (levels 0..j-1), by exponent filtering.
 
     Valid because every level is full_below and row-supported inside the
     window: the graded piece is the count of pivots at exponents >= -n.
+    A counted level with a pivot in the top u-margin is WindowTooSmallError.
     """
     w = L.window
     if j < 1:
@@ -429,6 +418,7 @@ def hilbert_function(L: LayeredSubspace, j: int, n: int) -> int:
         raise WindowTooSmallError(f"u-window does not accommodate exponents [-{n}, 0]")
     total = 0
     for b in range(j):
+        check_top_margin(L.level(b), w.m_u)
         total += sum(1 for (e, _c) in L.level(b).pivots if e >= -n)
     return total
 
@@ -443,33 +433,14 @@ class PointIdealReport:
         return {"pass": self.ok, "dims": list(self.dims), "jumps": list(self.jumps)}
 
 
-def point_ideal_check(L: LayeredSubspace, n_max: Union[int, None] = None) -> PointIdealReport:
+def point_ideal_check(L: LayeredSubspace, n_max: int) -> PointIdealReport:
     """Colength-one test for the distinguished point in the degree-1 slice.
 
     Each degree-n jump dim(U_n ∩ L(0,1)) - dim(U_{n-1} ∩ L(0,1)) must be
     exactly 1; the n = 0 dimension is unconstrained.
     """
-    if n_max is None:
-        n_max = -L.window.u_lo
     if n_max < 0:
         raise RangeViolationError("n_max must be nonnegative")
-    if -n_max < L.window.u_lo:
-        raise WindowTooSmallError(f"n_max {n_max} outside the u-window range")
     dims = [hilbert_function(L, 1, n) for n in range(n_max + 1)]
     jumps = [dims[n] - dims[n - 1] for n in range(1, n_max + 1)]
     return PointIdealReport(all(j == 1 for j in jumps), dims, jumps)
-
-
-def pair_equal_in_window(p1: SchurPair, p2: SchurPair) -> bool:
-    """True iff every level's echelon rows coincide on both sides."""
-    if p1.window != p2.window:
-        raise WindowMismatchError("pairs live on different windows")
-    if (p1.algebra.r, p1.module.r) != (p2.algebra.r, p2.module.r):
-        raise WindowMismatchError("pairs have different ranks")
-    for side1, side2 in ((p1.algebra, p2.algebra), (p1.module, p2.module)):
-        for b in range(p1.window.t_lo, p1.window.t_hi):
-            if side1.level(b).rows != side2.level(b).rows:
-                return False
-            if side1.level(b).full_below != side2.level(b).full_below:
-                return False
-    return True

@@ -215,10 +215,6 @@ class LaurentPoly:
         return LaurentPoly(field, tuple(sorted((e, c) for e, c in items.items() if c)))
 
     @staticmethod
-    def zero(field: Field) -> "LaurentPoly":
-        return LaurentPoly(field, ())
-
-    @staticmethod
     def monomial(field: Field, exp: int, coeff=1) -> "LaurentPoly":
         return LaurentPoly.from_dict(field, {exp: coeff})
 

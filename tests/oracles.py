@@ -9,7 +9,8 @@ imports the package's sparse echelon engine.
 
 from __future__ import annotations
 
-from ribbonlab.fredholm import Verdict
+from ribbonlab.errors import RangeViolationError, WindowMismatchError
+from ribbonlab.fredholm import Verdict, WindowedSubspace
 from ribbonlab.local2d import Local2DElement
 from ribbonlab.series import Field, LaurentPoly
 
@@ -204,6 +205,48 @@ def brute_index(rows, field: Field, r: int, u_lo: int, u_hi: int) -> int:
     proj = [[row[i] for i in minus_idx] for row in dense] if minus_idx else []
     dim_proj_minus = dense_rank(proj) if minus_idx else 0
     return dim_cap_plus - (len(minus_idx) - dim_proj_minus)
+
+
+def direct_sum(W1: WindowedSubspace, W2: WindowedSubspace) -> WindowedSubspace:
+    """Block-diagonal sum; ranks add, windows must agree.
+
+    W2's components are numbered after W1's.  The two blocks' rows then have
+    disjoint supports, so their union is already in reduced echelon form and
+    only needs sorting by pivot; no elimination runs.
+    """
+    if (W1.u_lo, W1.u_hi) != (W2.u_lo, W2.u_hi):
+        raise WindowMismatchError("direct sum needs identical u-windows")
+    if W1.field != W2.field:
+        raise WindowMismatchError("direct sum needs a common field")
+    shifted = tuple(tuple(((e, c + W1.r), x) for (e, c), x in row) for row in W2.rows)
+    rows = tuple(sorted(W1.rows + shifted, key=lambda row: row[0][0]))
+    return WindowedSubspace(W1.field, W1.r + W2.r, W1.u_lo, W1.u_hi,
+                            W1.full_below and W2.full_below, rows)
+
+
+def graded_slice(L, i: int, j: int) -> WindowedSubspace:
+    """Stacked model of (L ∩ O(i)^r)/(L ∩ O(j)^r): block b of the sum is levels[b]."""
+    w = L.window
+    if not (w.t_lo <= i < j <= w.t_hi):
+        raise RangeViolationError(f"need t_lo <= i < j <= t_hi, got ({i}, {j})")
+    out = L.level(i)
+    for b in range(i + 1, j):
+        out = direct_sum(out, L.level(b))
+    return out
+
+
+def graded_dimension(L, j: int, n: int) -> int:
+    """Reference for ``schur.hilbert_function``: dim(S ∩ U_n) by dense rank.
+
+    S is ``graded_slice(L, 0, j)`` and U_n the span of the unit vectors at
+    exponents >= -n in every block, so dim(S ∩ U_n) = dim S + dim U_n -
+    dim(S + U_n).  No pivot is read.
+    """
+    S = graded_slice(L, 0, j)
+    dense, basis = vectors_to_dense(S.row_vectors(), S.field, S.r, S.u_lo, S.u_hi)
+    units = [[S.field.one if key == unit else S.field.zero for key in basis]
+             for unit in basis if unit[1] >= -n]
+    return dense_rank(dense) + len(units) - dense_rank(dense + units)
 
 
 def rr_h0(d: int) -> int:

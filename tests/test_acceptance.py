@@ -8,12 +8,12 @@ import json
 import random
 import time
 
-from fixtures import random_local2d
+from fixtures import enlarge, random_local2d
 from oracles import (brute_index, brute_membership, chi, random_windowed_rows,
                      rr_h0, rr_h1)
 from ribbonlab.cli import main as cli_main
 from ribbonlab.cohomology import LevelStack, cech_line_bundle, picard_dimension, ribbon_cohomology
-from ribbonlab.fredholm import Verdict, echelonize, enlarge, fredholm_index, membership
+from ribbonlab.fredholm import Verdict, echelonize, fredholm_index, membership
 from ribbonlab.geometry import NodalCubicRing, forward_krichever, make_datum, noncoherent_chain, order_group, level_index_table
 from ribbonlab.local2d import Window2D
 from ribbonlab.schur import hilbert_function, point_ideal_check

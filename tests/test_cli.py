@@ -7,8 +7,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import pair_equal_in_window
 from ribbonlab.cli import main
-from ribbonlab.schur import SchurPair, pair_equal_in_window
+from ribbonlab.schur import SchurPair
 
 
 def run(*argv):
@@ -280,6 +281,26 @@ def test_roundtrip_all_projective_kinds(tmp_path):
         pair = SchurPair.from_json(load(out))
         again = SchurPair.from_json(json.loads(json.dumps(pair.to_json())))
         assert pair_equal_in_window(pair, again)
+
+
+def test_report_hilbert_refuses_a_margin_pivot(tmp_path, capsys):
+    # a row u^7 at A's level 0 is a pivot in the default window's top
+    # u-margin [6, 8): check and report hilbert both exit 2 on it
+    pair = tmp_path / "pair.json"
+    assert run("build", "p2-line", "--out", str(pair)) == 0
+    obj = load(pair)
+    level0 = next(e["space"] for e in obj["A"]["levels"] if e["b"] == 0)
+    level0["rows"].append([{"coeffs": [[7, "1/1"]]}])
+    bad = tmp_path / "margin-pivot.json"
+    bad.write_text(json.dumps(obj))
+    assert run("check", str(bad)) == 2
+    capsys.readouterr()
+    out = tmp_path / "h.json"
+    assert run("report", "hilbert", "--pair", str(bad), "--j", "1", "--max-n", "6",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_report_hilbert_window_shortfall(pair_path, tmp_path):

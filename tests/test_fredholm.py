@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from oracles import brute_index, brute_membership, random_windowed_rows
+from fixtures import enlarge
+from oracles import brute_index, brute_membership, direct_sum, random_windowed_rows
 from ribbonlab.errors import (FieldMismatchError, NotCocompactError,
                               SupportViolationError, WindowTooSmallError)
-from ribbonlab.fredholm import (Verdict, direct_sum, echelonize, enlarge,
-                                fredholm_index, membership, pivot_profile)
+from ribbonlab.fredholm import Verdict, echelonize, fredholm_index, membership
 from ribbonlab.series import QQ, Field, LaurentPoly
 
 F13 = Field(13)
@@ -28,7 +28,7 @@ def monomial_space(exps, u_lo, u_hi, full_below=True, field=QQ):
 def test_echelonize_reduces_pivots():
     W = echelonize([vec(lp({1: 1, 0: 1})), vec(lp({1: 1}))], 1, -4, 4, True)
     assert W.row_vectors() == [vec(lp({0: 1})), vec(lp({1: 1}))]
-    assert pivot_profile(W) == {(1, 0), (1, 1)}
+    assert W.pivots == ((0, 0), (1, 0))
 
 
 def test_echelonize_duplicates_collapse():
@@ -117,13 +117,14 @@ def test_index_window_too_small_margin():
 
 
 def test_pivot_profile_examples():
-    assert pivot_profile(monomial_space([0, 1], -4, 4)) == {(1, 0), (1, 1)}
+    # pivots are (exponent, component) keys, components numbered from 0
+    assert monomial_space([0, 1], -4, 4).pivots == ((0, 0), (1, 0))
     W = echelonize([vec(lp({-2: 1, 1: 1}))], 1, -4, 4, True)
-    assert pivot_profile(W) == {(1, -2)}
+    assert W.pivots == ((-2, 0),)
     W2 = echelonize(
-        [vec(lp({-1: 1}), LaurentPoly.zero(QQ)), vec(LaurentPoly.zero(QQ), lp({0: 1}))],
+        [vec(lp({-1: 1}), LaurentPoly(QQ)), vec(LaurentPoly(QQ), lp({0: 1}))],
         2, -4, 4, True)
-    assert pivot_profile(W2) == {(1, -1), (2, 0)}
+    assert W2.pivots == ((-1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("field", [QQ, F13])
@@ -194,6 +195,7 @@ def test_index_additive_on_direct_sums():
         W2 = echelonize(rows2, r2, u_lo, u_hi, True, field=QQ)
         S = direct_sum(W1, W2)
         assert S.r == r1 + r2
+        assert S.rows == echelonize(S.row_vectors(), S.r, u_lo, u_hi, True, field=QQ).rows
         assert fredholm_index(S) == fredholm_index(W1) + fredholm_index(W2)
 
 

@@ -8,7 +8,7 @@ from fixtures import contains_monomial, random_local2d
 from oracles import chi, nilpotent_product, section_monomial_allowed
 from ribbonlab.errors import (ConfigError, DegreeBoundError,
                               UnsupportedDatumError, WindowTooSmallError)
-from ribbonlab.fredholm import Verdict, echelonize, pivot_profile
+from ribbonlab.fredholm import Verdict, echelonize
 from ribbonlab.geometry import (PROJECTIVE_KINDS, NodalCubicRing,
                                 RibbonAxiomReport, _validate_layered,
                                 forward_krichever, level_index_table,
@@ -36,24 +36,22 @@ def test_monomial_criterion_matches_pole_divisor_oracle():
 def test_forward_levels_match_criterion():
     pair = forward_krichever(make_datum("p2-line", 0), W_AC)
     for b in range(W_AC.t_lo, W_AC.t_hi):
-        profile = pivot_profile(pair.algebra.level(b))
-        want = {(1, a) for a in range(W_AC.u_lo, W_AC.u_hi)
-                if section_monomial_allowed(a, b, 0)}
-        assert profile == want
+        want = tuple((a, 0) for a in range(W_AC.u_lo, W_AC.u_hi)
+                     if section_monomial_allowed(a, b, 0))
+        assert pair.algebra.level(b).pivots == want
 
 
 def test_forward_twist_two_module_levels():
     pair = forward_krichever(make_datum("p2-line", 2), W_AC)
     for b in range(W_AC.t_lo, W_AC.t_hi):
-        profile = pivot_profile(pair.module.level(b))
-        want = {(1, a) for a in range(W_AC.u_lo, W_AC.u_hi)
-                if section_monomial_allowed(a, b, 2)}
-        assert profile == want
+        want = tuple((a, 0) for a in range(W_AC.u_lo, W_AC.u_hi)
+                     if section_monomial_allowed(a, b, 2))
+        assert pair.module.level(b).pivots == want
 
 
 def test_forward_level_one_slice():
     pair = forward_krichever(make_datum("p2-line", 0), W_AC)
-    assert pivot_profile(pair.algebra.level(1)) == {(1, a) for a in range(-8, 0)}
+    assert pair.algebra.level(1).pivots == tuple((a, 0) for a in range(-8, 0))
 
 
 def test_forward_rejects_affine_datum():

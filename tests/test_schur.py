@@ -4,16 +4,17 @@ import random
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from oracles import brute_membership, random_windowed_rows, slicewise_membership
+from fixtures import pair_equal_in_window
+from oracles import (brute_membership, graded_dimension, graded_slice,
+                     random_windowed_rows, slicewise_membership)
 from ribbonlab.errors import (ConfigError, FieldMismatchError,
                               RangeViolationError, SupportViolationError,
                               WindowMismatchError, WindowTooSmallError)
-from ribbonlab.fredholm import Verdict, echelonize, membership, pivot_profile
+from ribbonlab.fredholm import Verdict, echelonize, membership
 from ribbonlab.geometry import make_datum, forward_krichever
 from ribbonlab.local2d import Local2DElement, Window2D, ord_t_vector
 from ribbonlab.schur import (LayeredSubspace, Router, SchurPair, _merge, _route_check,
-                             check_schur_pair, graded_slice, hilbert_function,
-                             layered_membership, pair_equal_in_window,
+                             check_schur_pair, hilbert_function, layered_membership,
                              point_ideal_check, scalar_times_vector)
 from ribbonlab.series import QQ, Field, LaurentPoly
 
@@ -86,17 +87,16 @@ def test_graded_slice_single_level(p2_pair):
 
 def test_graded_slice_two_levels_monomial_criterion(p2_pair):
     sl = graded_slice(p2_pair.algebra, 0, 2)
-    profile = pivot_profile(sl)
-    # block 1 carries exponents <= 0, block 2 (level 1) exponents <= -1
-    assert {(c, e) for (c, e) in profile if c == 1} == {(1, e) for e in range(-8, 1)}
-    assert {(c, e) for (c, e) in profile if c == 2} == {(2, e) for e in range(-8, 0)}
+    # block 0 carries exponents <= 0, block 1 (level 1) exponents <= -1
+    assert {(e, c) for (e, c) in sl.pivots if c == 0} == {(e, 0) for e in range(-8, 1)}
+    assert {(e, c) for (e, c) in sl.pivots if c == 1} == {(e, 1) for e in range(-8, 0)}
 
 
 def test_graded_slice_nesting(p2_pair):
     inner = graded_slice(p2_pair.algebra, 0, 2)
     outer = graded_slice(p2_pair.algebra, 0, 3)
-    sub = {(c, e) for (c, e) in pivot_profile(outer) if c <= 2}
-    assert sub == pivot_profile(inner)
+    sub = {(e, c) for (e, c) in outer.pivots if c <= 1}
+    assert sub == set(inner.pivots)
     # blocks are independent, so the outer rows supported in the first two
     # blocks must coincide with the inner echelon rows exactly
     outer_sub = [row for row in outer.rows if all(c < 2 for (_e, c), _v in row)]
@@ -131,6 +131,46 @@ def test_hilbert_brute_force_intersection(p2_pair):
                           if brute_membership(unit, v, QQ, 1, lvl.u_lo, lvl.u_hi)]
                 want += len(inside)
             assert hilbert_function(A, j, n) == want
+
+
+@pytest.mark.parametrize("kind, twist", [("p2-line", 0), ("p2-line", 2),
+                                         ("even-variant", 0), ("nilpotent", 0)])
+def test_hilbert_matches_graded_slice_rank_on_built_pairs(kind, twist):
+    pair = forward_krichever(make_datum(kind, twist), W_AC)
+    for L in (pair.algebra, pair.module):
+        for j in (1, 2, 3):
+            for n in range(0, 9, 2):
+                assert hilbert_function(L, j, n) == graded_dimension(L, j, n)
+
+
+def test_hilbert_matches_graded_slice_rank_on_random_levels():
+    rng = random.Random(113)
+    for _ in range(200):
+        fld, r = rng.choice([QQ, Field(13)]), rng.randint(1, 2)
+        w = Window2D(rng.randint(-2, 0), rng.randint(1, 3), rng.randint(-5, -1), rng.randint(1, 5))
+        levels = tuple(
+            (b, echelonize(random_windowed_rows(rng, fld, r, w.u_lo, w.u_hi, rng.randint(0, 4)),
+                           r, w.u_lo, w.u_hi, True, field=fld))
+            for b in range(w.t_lo, w.t_hi))
+        L = LayeredSubspace(fld, r, w, levels, ())
+        j, n = rng.randint(1, w.t_hi), rng.randint(0, -w.u_lo)
+        assert hilbert_function(L, j, n) == graded_dimension(L, j, n)
+
+
+def test_hilbert_refuses_a_counted_pivot_in_the_top_u_margin(p2_pair):
+    # the top u-margin of W_AC is [6, 8); check reads a level with a pivot
+    # there as window-too-small, and so does every depth that counts it
+    obj = p2_pair.to_json()
+    level = {e["b"]: e["space"] for e in obj["A"]["levels"]}
+    level[1]["rows"].append([LaurentPoly.monomial(QQ, 5).to_json()])
+    level[2]["rows"].append([LaurentPoly.monomial(QQ, 6).to_json()])
+    A = SchurPair.from_json(obj).algebra
+    assert hilbert_function(A, 2, 0) == 2  # u^5 at level 1 is trusted and counted
+    with pytest.raises(WindowTooSmallError, match="pivot exponent 6 touches the top margin"):
+        hilbert_function(A, 3, 0)
+    level[0]["rows"].append([LaurentPoly.monomial(QQ, 7).to_json()])
+    with pytest.raises(WindowTooSmallError):
+        point_ideal_check(SchurPair.from_json(obj).algebra, 6)
 
 
 def test_hilbert_monotone_and_convex(p2_pair):
@@ -518,7 +558,8 @@ def test_layered_membership_matches_lift_and_subtract(case):
     L, vec = case
     w = L.window
     # the terms inside the window: margin terms make some verdicts inconclusive
-    inside = tuple(Local2DElement.from_dict(QQ, {k: c for k, c in x.terms if w.contains(*k)})
+    inside = tuple(Local2DElement.from_dict(QQ, {(a, b): c for (a, b), c in x.terms
+                                                 if w.u_lo <= a < w.u_hi and w.t_lo <= b < w.t_hi})
                    for x in vec)
     verdict = layered_membership(L, inside)
     event(verdict.value)
