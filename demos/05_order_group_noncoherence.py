@@ -24,7 +24,7 @@ for kind, d in (("p2-line", 1), ("even-variant", 2), ("nilpotent", 0)):
     print(f"{kind}{tag}: d = {rep.d}{wit}{lim}")
 
 ring = NodalCubicRing(degree_bound=8)
-chain = noncoherent_chain(ring, k_max=5, w=Window2D(-6, 1, -8, 8))
+chain = noncoherent_chain(ring, k_max=5, t_lo=-6, t_hi=1)
 print(f"\nnodal cubic, degree bound 8: dim(point ideal) = {ring.point_ideal_dim()}, "
       f"dim(its square) = {ring.point_ideal_sq_dim()}")
 print(f"truncated chain J_1 .. J_5 dimensions: {chain}")

@@ -1,10 +1,12 @@
 """Command-line driver: build pairs, check them, and emit report files.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive (a truncation shortfall surfaced),
-3 usage or malformed input.  The split lets CI tell a genuine mathematical
-failure apart from a window that was simply too small.  Every report embeds
-the configuration it was computed with, so any claim is reproducible from the
-report alone.
+Exit codes: 0 pass, 1 fail, 2 inconclusive (a truncation shortfall surfaced,
+or closure went unverified on level rows the witnesses do not span), 3 usage
+or malformed input.  The split lets CI tell a genuine mathematical failure
+apart from a window that was simply too small.  Each command takes only the
+field, window bounds and truncation bound its computation reads, and every
+report embeds exactly those values as its "config", so any claim is
+reproducible from the report alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .cohomology import LevelStack, picard_dimension, ribbon_cohomology
 from .errors import (ConfigError, DegreeBoundError, RangeViolationError,
@@ -31,33 +32,22 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-
-@dataclass
-class RunConfig:
-    field: Field
-    window: Window2D
-    bound: int
-
-    def to_json(self) -> dict:
-        return {"field": self.field.tag, "window": self.window.to_json(),
-                "bound": self.bound}
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--field", default="Q", help="Q or Fp:<prime>")
-    parser.add_argument("--t-lo", type=int, default=-4)
-    parser.add_argument("--t-hi", type=int, default=4)
-    parser.add_argument("--u-lo", type=int, default=-8)
-    parser.add_argument("--u-hi", type=int, default=8)
-    parser.add_argument("--margin-t", type=int, default=2)
-    parser.add_argument("--margin-u", type=int, default=2)
-    parser.add_argument("--bound", type=int, default=8, help="chart-degree truncation bound")
+# the field, window and bound options; each command adds the ones it reads
+_OPTIONS = {
+    "--field": {"default": "Q", "help": "Q or Fp:<prime>"},
+    "--t-lo": {"type": int, "default": -4},
+    "--t-hi": {"type": int, "default": 4},
+    "--u-lo": {"type": int, "default": -8},
+    "--u-hi": {"type": int, "default": 8},
+    "--margin-t": {"type": int, "default": 2},
+    "--margin-u": {"type": int, "default": 2},
+    "--bound": {"type": int, "default": 8, "help": "chart-degree truncation bound"},
+}
 
 
-def _config(args) -> RunConfig:
-    window = Window2D(args.t_lo, args.t_hi, args.u_lo, args.u_hi,
-                      args.margin_t, args.margin_u)
-    return RunConfig(Field.from_tag(args.field), window, args.bound)
+def _add_options(parser: argparse.ArgumentParser, *names: str):
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def _write_text(path: str, text: str):
@@ -87,7 +77,8 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument("example", help="|".join(PROJECTIVE_KINDS + (NODAL_CUBIC,)))
     p_build.add_argument("--twist", type=int, default=0)
     p_build.add_argument("--out", default="pair.json")
-    _add_common(p_build)
+    _add_options(p_build, "--field", "--t-lo", "--t-hi", "--u-lo", "--u-hi",
+                 "--margin-t", "--margin-u")
 
     p_check = sub.add_parser("check", help="run the Schur-pair checks on a pair file")
     p_check.add_argument("pair")
@@ -106,33 +97,33 @@ def _parser() -> argparse.ArgumentParser:
     p_c.add_argument("--twist", type=int, default=0)
     p_c.add_argument("--depth", type=int, default=2, help="truncation depth i of the stack")
     p_c.add_argument("--out", default="cohomology.json")
-    _add_common(p_c)
+    _add_options(p_c, "--field", "--bound")
 
     p_p = rsub.add_parser("picard")
     p_p.add_argument("--max-i", type=int, default=5)
     p_p.add_argument("--out", default="picard.json")
-    _add_common(p_p)
+    _add_options(p_p, "--field", "--bound")
 
     p_n = rsub.add_parser("demo-noncoherent")
     p_n.add_argument("--max-k", type=int, default=3)
     p_n.add_argument("--degree-bound", type=int, default=6)
     p_n.add_argument("--out", default="noncoherent.json")
-    _add_common(p_n)
+    _add_options(p_n, "--field", "--t-lo", "--t-hi")
 
     p_o = rsub.add_parser("order-group")
     p_o.add_argument("--example", required=True)
-    p_o.add_argument("--twist", type=int, default=0)
     p_o.add_argument("--out", default="order-group.json")
-    _add_common(p_o)
+    _add_options(p_o, "--field", "--t-lo", "--t-hi", "--u-lo", "--u-hi")
     return top
 
 
 def _cmd_build(args) -> int:
-    cfg = _config(args)
-    datum = make_datum(args.example, args.twist)
-    pair = forward_krichever(datum, cfg.window, cfg.field)
+    window = Window2D(args.t_lo, args.t_hi, args.u_lo, args.u_hi,
+                      args.margin_t, args.margin_u)
+    fld = Field.from_tag(args.field)
+    pair = forward_krichever(make_datum(args.example, args.twist), window, fld)
     obj = pair.to_json()
-    obj["config"] = cfg.to_json()
+    obj["config"] = {"field": fld.tag, "window": window.to_json()}
     _write_text(args.out, json.dumps(obj, sort_keys=True, separators=(",", ":")))
     return EXIT_PASS
 
@@ -173,56 +164,58 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    cfg = _config(args)
+    fld = Field.from_tag(args.field)
     stack = LevelStack.for_p2_line(args.twist, args.depth)
-    report = ribbon_cohomology(stack, cfg.bound, cfg.field)
-    obj = report.to_json()
-    obj["config"] = cfg.to_json()
+    obj = ribbon_cohomology(stack, args.bound, fld).to_json()
+    obj["config"] = {"field": fld.tag, "bound": args.bound}
     _write_json(args.out, obj)
     return EXIT_PASS
 
 
 def _cmd_picard(args) -> int:
-    cfg = _config(args)
+    fld = Field.from_tag(args.field)
     if args.max_i < 1:
         raise RangeViolationError("--max-i must be a positive integer")
     dims = []
     for i in range(1, args.max_i + 1):
-        last = picard_dimension(GeometricDatum(P2_LINE), i, cfg.bound, cfg.field)
+        last = picard_dimension(GeometricDatum(P2_LINE), i, args.bound, fld)
         dims.append(last.dim)
-    obj = {"dims": dims, "d": last.d, "levels": last.levels, "config": cfg.to_json()}
+    obj = {"dims": dims, "d": last.d, "levels": last.levels,
+           "config": {"field": fld.tag, "bound": args.bound}}
     _write_json(args.out, obj)
     # the graded Picard sum is exact only when every graded h0 vanishes
     return EXIT_PASS if last.h0_vanishing else EXIT_FAIL
 
 
 def _cmd_noncoherent(args) -> int:
-    cfg = _config(args)
-    window = cfg.window
-    if window.t_lo > -args.max_k - 1 or window.t_hi < 1:
+    t_lo, t_hi = args.t_lo, args.t_hi
+    if t_lo >= t_hi:
+        raise ConfigError("window bounds must satisfy t_lo < t_hi")
+    fld = Field.from_tag(args.field)
+    if t_lo > -args.max_k - 1 or t_hi < 1:
         # derive the minimal window the chain needs instead of failing on defaults
-        window = Window2D(-args.max_k - 1, max(1, window.t_hi), window.u_lo,
-                          window.u_hi, 0, 0)
-    ring = NodalCubicRing(args.degree_bound, cfg.field)
-    dims = noncoherent_chain(ring, args.max_k, window)
+        t_lo, t_hi = -args.max_k - 1, max(1, t_hi)
+    ring = NodalCubicRing(args.degree_bound, fld)
+    dims = noncoherent_chain(ring, args.max_k, t_lo, t_hi)
     obj = {
         "degree_bound": args.degree_bound,
         "dims": dims,
         "point_ideal_dim": ring.point_ideal_dim(),
         "point_ideal_sq_dim": ring.point_ideal_sq_dim(),
-        "config": {"field": cfg.field.tag, "window": window.to_json()},
+        "config": {"field": fld.tag, "window": {"t_lo": t_lo, "t_hi": t_hi}},
     }
     _write_json(args.out, obj)
     return EXIT_PASS
 
 
 def _cmd_order_group(args) -> int:
-    cfg = _config(args)
-    datum = make_datum(args.example, args.twist)
-    report = order_group(datum, cfg.window, cfg.field)
-    obj = report.to_json()
+    window = Window2D(args.t_lo, args.t_hi, args.u_lo, args.u_hi)
+    fld = Field.from_tag(args.field)
+    datum = make_datum(args.example)
+    obj = order_group(datum, window, fld).to_json()
     obj["example"] = datum.meta()
-    obj["config"] = cfg.to_json()
+    obj["config"] = {"field": fld.tag, "window": {
+        "t_lo": window.t_lo, "t_hi": window.t_hi, "u_lo": window.u_lo, "u_hi": window.u_hi}}
     _write_json(args.out, obj)
     return EXIT_PASS
 

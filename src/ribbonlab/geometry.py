@@ -27,7 +27,7 @@ from .errors import (ConfigError, DegreeBoundError, UnsupportedDatumError,
 # fredholm_index is unused here, but bench/tracing.py patches it by name (ROADMAP item 2)
 from .fredholm import echelonize, fredholm_index
 from .local2d import Local2DElement, Window2D
-from .schur import LayeredSubspace, Router, SchurPair, _index_or_marker
+from .schur import LayeredSubspace, Router, SchurPair, level_index_rows
 from .series import QQ, Field, LaurentPoly
 
 P2_LINE = "p2-line"
@@ -151,31 +151,9 @@ def forward_krichever(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> SchurP
     return SchurPair(sides["A"], sides["W"], g.meta())
 
 
-@dataclass
-class LevelIndexTable:
-    rows: list  # dicts: b, index_A/marker_A, index_W/marker_W
-
-    def index(self, side: str, b: int):
-        for row in self.rows:
-            if row["b"] == b:
-                return row[f"index_{side}"]
-        raise KeyError(b)
-
-    def to_json(self) -> dict:
-        return {"levels": list(self.rows)}
-
-
-def level_index_table(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> LevelIndexTable:
-    """Fredholm index of every visible level of A and W; margin hits become markers."""
-    pair = forward_krichever(g, w, fld)
-    rows = []
-    for b in range(w.t_lo, w.t_hi):
-        entry = {"b": b}
-        for side, layer in (("A", pair.algebra), ("W", pair.module)):
-            entry[f"index_{side}"], entry[f"marker_{side}"] = _index_or_marker(
-                layer.level(b), w.m_u)
-        rows.append(entry)
-    return LevelIndexTable(rows)
+def level_index_table(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> list:
+    """``LevelIndexRow`` of every visible level of A and W; margin hits become markers."""
+    return list(level_index_rows(forward_krichever(g, w, fld), range(w.t_lo, w.t_hi)))
 
 
 @dataclass
@@ -346,10 +324,11 @@ class NodalCubicRing:
         return self._ideal_window_dim([(2, 0), (1, 1), (0, 2)])
 
 
-def noncoherent_chain(ring: NodalCubicRing, k_max: int, w: Window2D):
+def noncoherent_chain(ring: NodalCubicRing, k_max: int, t_lo: int, t_hi: int):
     """Dimensions of the truncated ideals J_1 ⊂ J_2 ⊂ ... on the nodal cubic.
 
-    J_k takes coefficients in J_Q everywhere and in J_Q^2 below t-order -k;
+    Counted over the t-levels t_lo..t_hi - 1, which must include -k_max - 1
+    and 0.  J_k takes coefficients in J_Q everywhere and in J_Q^2 below t-order -k;
     at a fixed degree bound the chain grows by dim(J_Q/J_Q^2) per step and
     never stabilizes.
     """
@@ -358,14 +337,14 @@ def noncoherent_chain(ring: NodalCubicRing, k_max: int, w: Window2D):
             "degree bound below 3 cannot separate the cubic relation; use D >= 3")
     if k_max < 1:
         raise DegreeBoundError("k_max must be positive")
-    if not (w.t_lo <= -k_max - 1 and w.t_hi >= 1):
+    if not (t_lo <= -k_max - 1 and t_hi >= 1):
         raise WindowTooSmallError(
             f"t-window must cover [{-k_max - 1}, 1) for k_max={k_max}")
     jd = ring.point_ideal_dim()
     j2d = ring.point_ideal_sq_dim()
     dims = []
     for k in range(1, k_max + 1):
-        below = sum(1 for i in range(w.t_lo, w.t_hi) if i < -k)
-        above = (w.t_hi - w.t_lo) - below
+        below = sum(1 for i in range(t_lo, t_hi) if i < -k)
+        above = (t_hi - t_lo) - below
         dims.append(below * j2d + above * jd)
     return dims

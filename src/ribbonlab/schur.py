@@ -4,7 +4,8 @@ A LayeredSubspace models a subspace L of k((u))((t))^r inside a rectangular
 window as the direct sum of t^b * levels[b], one WindowedSubspace per t-level
 b, plus a finite list of generator vectors kept as closure witnesses.  Levels
 are authoritative.  A witness is checked against L by the same rule that the
-Schur check applies to products, ``layered_membership``.
+Schur check applies to products, ``layered_membership``, and the Schur check
+certifies closure only where the witnesses span the levels' trusted rows.
 
 Membership is three-valued.  Truncation must distinguish "provably outside"
 from "escaped the window", so reductions that reach the distrusted top margin
@@ -18,13 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
+from . import _linalg
 from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
                      RangeViolationError, SupportViolationError,
                      WindowMismatchError, WindowTooSmallError)
 from .fredholm import Verdict, WindowedSubspace, check_top_margin, fredholm_index, membership
-from .local2d import Local2DElement, Window2D
+from .local2d import Local2DElement, Window2D, ord_t_vector
 from .series import Field, LaurentPoly, json_int
 
 
@@ -286,6 +288,7 @@ class Router:
 # the verdict each check outcome supports; None is a level with an index
 _VERDICT_OF = {"in": "pass", "deferred": "pass", None: "pass",
                "escaped": "inconclusive", "window-too-small": "inconclusive",
+               "unwitnessed": "inconclusive",
                "not-in": "fail", "not-cocompact": "fail"}
 _SEVERITY = ("pass", "inconclusive", "fail")
 
@@ -316,6 +319,7 @@ class SchurReport:
     deferred: int
     escaped: int
     failures: list
+    unwitnessed: list
 
     def to_json(self) -> dict:
         return {
@@ -332,6 +336,7 @@ class SchurReport:
             "tallies": {"checked": self.checked, "deferred": self.deferred,
                         "escaped": self.escaped},
             "failures": list(self.failures),
+            "unwitnessed": list(self.unwitnessed),
         }
 
 
@@ -344,6 +349,46 @@ def _index_or_marker(level: WindowedSubspace, m_u: int):
         return None, "window-too-small"
 
 
+def level_index_rows(pair: SchurPair, bs) -> Iterator[LevelIndexRow]:
+    """Fredholm index of levels b of A and W, or the marker that replaces it."""
+    m_u = pair.window.m_u
+    for b in bs:
+        ia, ma = _index_or_marker(pair.algebra.level(b), m_u)
+        iw, mw = _index_or_marker(pair.module.level(b), m_u)
+        yield LevelIndexRow(b, ia, iw, ma, mw)
+
+
+def _unwitnessed_rows(side: str, L: LayeredSubspace) -> list:
+    """Trusted level rows that the witnesses do not span, as {side, b, pivot}.
+
+    Closure on a spanning set gives closure on its span, by bilinearity, so
+    witness products verify closure of L's trusted part only where the
+    witnesses span it.  At each t-interior level b, the t^b slices of the
+    witnesses of t-order b, together with the bottom band u^a for
+    a < u_lo + m_u, must span every row whose pivot exponent lies in
+    [u_lo + m_u, u_hi - m_u).  Dropping the band's keys from the slices
+    stands for the band's unit rows; a trusted row has no such key.  A pivot
+    is [exponent, 1-based component].
+    """
+    w = L.window
+    band_top = w.u_lo + w.m_u
+    slices = {}
+    for vec in L.generators:
+        if any(vec):
+            b = ord_t_vector(vec)
+            slices.setdefault(b, []).append(
+                {(a, c): coeff for c, x in enumerate(vec)
+                 for (a, bb), coeff in x.terms if bb == b and a >= band_top})
+    out = []
+    for b in range(w.t_lo + w.m_t, w.t_trusted_hi):
+        basis = {min(row): row for row in _linalg.echelon(slices.get(b, ()))}
+        for row in L.level(b).rows:
+            e, c = row[0][0]
+            if band_top <= e < w.u_trusted_hi and _linalg.reduce_vector(dict(row), basis):
+                out.append({"side": side, "b": b, "pivot": [e, c + 1]})
+    return out
+
+
 def check_schur_pair(pair: SchurPair) -> SchurReport:
     """Run the three Schur-pair verdicts on a windowed pair.
 
@@ -351,7 +396,9 @@ def check_schur_pair(pair: SchurPair) -> SchurReport:
     NotIn; (2) module closure: products of A-witnesses with W-witnesses never
     reduce to NotIn inside W; (3) per-level Fredholm indices exist on every
     level of the t-interior.  Pass needs no NotIn and no Fredholm failure;
-    any escape or window-too-small makes the overall verdict inconclusive.
+    any escape or window-too-small makes the overall verdict inconclusive,
+    and so does a trusted level row the side's witnesses do not span
+    (``_unwitnessed_rows``): closure went unverified there.
     Repeated products reuse an earlier routing result (see ``Router``), but
     every occurrence is tallied and every failing occurrence keeps its own
     label, formatted from its indices only when it fails.
@@ -384,20 +431,26 @@ def check_schur_pair(pair: SchurPair) -> SchurReport:
         for j, wgen in enumerate(W.generators):
             run("W", scalar_times_vector(g[0], wgen), "module product A#{}*W#{} leaves W", i, j)
 
-    rows, markers = [], set()
-    for b in range(w.t_lo + w.m_t, w.t_hi - w.m_t):
-        ia, ma = _index_or_marker(A.level(b), w.m_u)
-        iw, mw = _index_or_marker(W.level(b), w.m_u)
-        rows.append(LevelIndexRow(b, ia, iw, ma, mw))
-        markers |= {ma, mw}
-        failures += [f"level {b} of {lbl} is not cocompact"
-                     for marker, lbl in ((ma, "A"), (mw, "W")) if marker == "not-cocompact"]
+    unwitnessed = []
+    for side, L in (("A", A), ("W", W)):
+        missing = _unwitnessed_rows(side, L)
+        if missing:
+            outcomes[side].add("unwitnessed")
+        unwitnessed += missing
+
+    rows = list(level_index_rows(pair, range(w.t_lo + w.m_t, w.t_hi - w.m_t)))
+    markers = set()
+    for row in rows:
+        markers |= {row.marker_a, row.marker_w}
+        failures += [f"level {row.b} of {lbl} is not cocompact"
+                     for marker, lbl in ((row.marker_a, "A"), (row.marker_w, "W"))
+                     if marker == "not-cocompact"]
 
     subalgebra, module_closure, fredholm = map(_merge, (outcomes["A"], outcomes["W"], markers))
     verdict = _merge(outcomes["A"] | outcomes["W"] | markers)
     return SchurReport(subalgebra, module_closure, fredholm, verdict,
                        unit_res, rows, tallies["checked"], tallies["deferred"],
-                       tallies["escaped"], failures)
+                       tallies["escaped"], failures, unwitnessed)
 
 
 def hilbert_function(L: LayeredSubspace, j: int, n: int) -> int:

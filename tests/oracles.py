@@ -162,6 +162,65 @@ def slicewise_membership(L, vec) -> Verdict:
     return Verdict.IN
 
 
+def dense_closure(pair) -> bool:
+    """Whether products of L's trusted basis rows stay in L, by dense rank.
+
+    Reference for the closure ``check`` certifies from witness products when
+    the witnesses span the trusted rows.  A trusted basis row is t^b * row for
+    a stored row of a t-interior level b whose pivot exponent lies in
+    [u_lo + m_u, u_hi - m_u).  Every product of two A rows, and of an A row
+    with a W row, is formed term by term on plain dicts of coefficient
+    values, and each of its t^c slices is tested against level c with
+    ``brute_membership``.  A product with a term in a top margin band,
+    outside the t-window, at or above u_hi, or below u_lo at a level without
+    a full tail is skipped, because ``check`` defers or escapes it; terms
+    below u_lo at a full_below level are dropped.
+    """
+    w, fld = pair.window, pair.field
+    seen = {}
+
+    def trusted(L):
+        return [{(e, b, c): x.value for (e, c), x in row}
+                for b in range(w.t_lo + w.m_t, w.t_trusted_hi) for row in L.level(b).rows
+                if w.u_lo + w.m_u <= row[0][0][0] < w.u_trusted_hi]
+
+    def stays_in(side, L, prod) -> bool:
+        slices = {}
+        for (a, b, c), v in prod.items():
+            if not fld.scalar(v):
+                continue
+            if not w.t_lo <= b < w.t_trusted_hi or a >= w.u_trusted_hi:
+                return True
+            if a < w.u_lo:
+                if not L.level(b).full_below:
+                    return True
+                continue
+            slices.setdefault(b, {}).setdefault(c, {})[a] = v
+        for b, comps in slices.items():
+            vec = tuple(LaurentPoly.from_dict(fld, comps.get(c, {})) for c in range(L.r))
+            key = (side, b, tuple(p.coeffs for p in vec))
+            if key not in seen:
+                seen[key] = brute_membership(L.level(b).row_vectors(), vec, fld, L.r,
+                                             w.u_lo, w.u_hi)
+            if not seen[key]:
+                return False
+        return True
+
+    a_rows = trusted(pair.algebra)
+    for side, L in (("A", pair.algebra), ("W", pair.module)):
+        rows = trusted(L)
+        for i, x in enumerate(a_rows):
+            for y in rows[i:] if side == "A" else rows:
+                prod: dict = {}
+                for (a1, b1, _c), v1 in x.items():
+                    for (a2, b2, c), v2 in y.items():
+                        k = (a1 + a2, b1 + b2, c)
+                        prod[k] = prod.get(k, 0) + v1 * v2
+                if not stays_in(side, L, prod):
+                    return False
+    return True
+
+
 def _dense_basis(r: int, u_lo: int, u_hi: int):
     # component-major enumeration, deliberately different from the package's
     return [(c, e) for c in range(r) for e in range(u_lo, u_hi)]

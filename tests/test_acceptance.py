@@ -47,9 +47,9 @@ def test_ac1_schur_pair_soundness(tmp_path, capsys):
 
 def test_ac2_level_fredholm_indices():
     for m in range(4):
-        table = level_index_table(make_datum("p2-line", m), W_WIDE)
+        table = {row.b: row for row in level_index_table(make_datum("p2-line", m), W_WIDE)}
         for b in range(-3, 4):
-            assert table.index("W", b) == m - b + 1 == chi(m - b)
+            assert table[b].index_w == m - b + 1 == chi(m - b)
     _report("AC2 level Fredholm indices match m - b + 1 for b in [-3,4): PASS")
 
 
@@ -89,7 +89,7 @@ def test_ac6_order_group():
 
 
 def test_ac7_non_noetherian_demo():
-    dims = noncoherent_chain(NodalCubicRing(8), 5, Window2D(-6, 1, -8, 8))
+    dims = noncoherent_chain(NodalCubicRing(8), 5, -6, 1)
     assert len(dims) == 5
     steps = [b - a for a, b in zip(dims, dims[1:])]
     assert all(s == steps[0] and s > 0 for s in steps)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import pair_equal_in_window
-from ribbonlab.cli import main
+from ribbonlab.cli import _parser, main
 from ribbonlab.schur import SchurPair
 
 
@@ -205,6 +206,13 @@ def test_report_noncoherent(tmp_path):
                "--out", str(out)) == 0
     dims = load(out)["dims"]
     assert dims == sorted(dims) and len(set(dims)) == 3
+
+
+@pytest.mark.parametrize("command", [("order-group", "--example", "p2-line"),
+                                     ("demo-noncoherent",)], ids=["order-group", "noncoherent"])
+def test_report_invalid_t_range(tmp_path, capsys, command):
+    assert usage_error(capsys, "report", *command, "--t-lo", "5", "--t-hi", "4",
+                       "--out", str(tmp_path / "r.json")) == 3
 
 
 def test_report_noncoherent_bad_degree(tmp_path):
@@ -483,3 +491,87 @@ def test_malformed_pair_never_raises(small_pair, data):
             rc = main(argv)
         assert rc in (0, 1, 2, 3)
         assert err.getvalue().count("\n") <= 1
+
+
+WINDOW_FLAGS = {"--t-lo", "--t-hi", "--u-lo", "--u-hi", "--margin-t", "--margin-u"}
+SURFACE = {
+    "build": {"example", "--twist", "--out", "--field"} | WINDOW_FLAGS,
+    "check": {"pair", "--report"},
+    "report hilbert": {"--pair", "--j", "--max-n", "--out"},
+    "report cohomology": {"--twist", "--depth", "--out", "--field", "--bound"},
+    "report picard": {"--max-i", "--out", "--field", "--bound"},
+    "report demo-noncoherent": {"--max-k", "--degree-bound", "--out", "--field",
+                                "--t-lo", "--t-hi"},
+    "report order-group": {"--example", "--out", "--field", "--t-lo", "--t-hi",
+                           "--u-lo", "--u-hi"},
+}
+
+
+def commands(parser, prefix=""):
+    """(command name, its settable option strings and positional names), leaves only."""
+    sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if sub is None:
+        yield prefix.strip(), {s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                               for s in a.option_strings or [a.dest]}
+        return
+    for name, child in sub.choices.items():
+        yield from commands(child, f"{prefix}{name} ")
+
+
+def test_each_command_takes_only_what_it_reads():
+    surface = dict(commands(_parser()))
+    assert surface == SURFACE
+    assert sum(map(len, surface.values())) == 38
+
+
+def test_report_config_lists_what_was_read(tmp_path):
+    configs = {}
+    for name, argv in (("build", ["build", "p2-line"]),
+                       ("cohomology", ["report", "cohomology"]),
+                       ("picard", ["report", "picard"]),
+                       ("noncoherent", ["report", "demo-noncoherent"]),
+                       ("order-group", ["report", "order-group", "--example", "p2-line"])):
+        out = tmp_path / f"{name}.json"
+        assert run(*argv, "--out", str(out)) == 0
+        configs[name] = load(out)["config"]
+    window = {"t_lo": -4, "t_hi": 4, "u_lo": -8, "u_hi": 8}
+    assert configs == {
+        "build": {"field": "Q", "window": dict(window, m_t=2, m_u=2)},
+        "cohomology": {"field": "Q", "bound": 8},
+        "picard": {"field": "Q", "bound": 8},
+        "noncoherent": {"field": "Q", "window": {"t_lo": -4, "t_hi": 4}},
+        "order-group": {"field": "Q", "window": window},
+    }
+
+
+def check_report(capsys, path):
+    rc = run("check", str(path))
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def test_check_names_unwitnessed_rows(tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    assert run("build", "p2-line", "--twist", "1", "--out", str(pair)) == 0
+    rc, rep = check_report(capsys, pair)
+    assert (rc, rep["unwitnessed"]) == (0, [])
+
+    obj = load(pair)
+    obj["A"]["generators"] = obj["W"]["generators"] = []
+    bare = tmp_path / "no-witnesses.json"
+    bare.write_text(json.dumps(obj))
+    rc, rep = check_report(capsys, bare)
+    assert (rc, rep["verdict"], rep["tallies"]["checked"], rep["failures"]) == (
+        2, "inconclusive", 1, [])
+    sides = [entry["side"] for entry in rep["unwitnessed"]]
+    assert (sides.count("A"), sides.count("W")) == (30, 34)
+
+    obj = load(pair)
+    next(e for e in obj["A"]["levels"] if e["b"] == 0)["space"]["rows"].append(
+        [{"coeffs": [[1, "1/1"]]}])
+    u1 = tmp_path / "u1.json"
+    u1.write_text(json.dumps(obj))
+    rc, rep = check_report(capsys, u1)
+    assert (rc, rep["verdict"], rep["failures"]) == (2, "inconclusive", [])
+    assert rep["unwitnessed"] == [{"side": "A", "b": 0, "pivot": [1, 1]}]
+    assert (rep["tallies"]["checked"], rep["tallies"]["deferred"]) == (1503, 47)
+    assert next(row for row in rep["levels"] if row["b"] == 0)["index_A"] == 2

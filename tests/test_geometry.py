@@ -66,26 +66,25 @@ def test_forward_rejects_window_that_hides_levels():
 
 def test_level_index_table_riemann_roch():
     for m in range(0, 4):
-        tab = level_index_table(make_datum("p2-line", m), W_WIDE)
-        for row in tab.rows:
-            b = row["b"]
-            assert row["index_W"] == chi(m - b)
-            assert row["index_A"] == chi(-b)
+        for row in level_index_table(make_datum("p2-line", m), W_WIDE):
+            b = row.b
+            assert row.index_w == chi(m - b)
+            assert row.index_a == chi(-b)
 
 
 def test_level_index_examples():
-    t0 = level_index_table(make_datum("p2-line", 0), W_WIDE)
-    assert t0.index("W", 0) == 1
-    assert t0.index("W", 2) == -1
-    t3 = level_index_table(make_datum("p2-line", 3), W_WIDE)
-    assert t3.index("W", 1) == 3
+    t0 = {row.b: row for row in level_index_table(make_datum("p2-line", 0), W_WIDE)}
+    assert t0[0].index_w == 1
+    assert t0[2].index_w == -1
+    t3 = {row.b: row for row in level_index_table(make_datum("p2-line", 3), W_WIDE)}
+    assert t3[1].index_w == 3
 
 
 def test_level_index_marks_margin_contact():
     # at the narrow window the deepest twisted level pokes into the u-margin
     tab = level_index_table(make_datum("p2-line", 3), W_AC)
-    row = next(r for r in tab.rows if r["b"] == -4)
-    assert row["index_W"] is None and row["marker_W"] == "window-too-small"
+    row = next(r for r in tab if r.b == -4)
+    assert row.index_w is None and row.marker_w == "window-too-small"
 
 
 def test_order_group_three_regimes():
@@ -268,14 +267,13 @@ def test_nodal_ideal_dims():
 
 def test_noncoherent_chain_step_is_ideal_gap():
     ring = NodalCubicRing(6)
-    w = Window2D(-4, 1, -8, 8, 0, 0)
-    dims = noncoherent_chain(ring, 2, w)
+    dims = noncoherent_chain(ring, 2, -4, 1)
     assert dims[1] - dims[0] == ring.point_ideal_dim() - ring.point_ideal_sq_dim()
     assert dims[1] - dims[0] > 0
 
 
 def test_noncoherent_chain_strictly_increasing_triple():
-    dims = noncoherent_chain(NodalCubicRing(6), 3, Window2D(-4, 1, -8, 8, 0, 0))
+    dims = noncoherent_chain(NodalCubicRing(6), 3, -4, 1)
     assert len(dims) == 3
     assert dims[0] < dims[1] < dims[2]
     steps = {b - a for a, b in zip(dims, dims[1:])}
@@ -284,14 +282,14 @@ def test_noncoherent_chain_strictly_increasing_triple():
 
 def test_noncoherent_chain_degree_too_small():
     with pytest.raises(DegreeBoundError):
-        noncoherent_chain(NodalCubicRing(1), 2, Window2D(-4, 1, -8, 8, 0, 0))
+        noncoherent_chain(NodalCubicRing(1), 2, -4, 1)
     with pytest.raises(DegreeBoundError):
-        noncoherent_chain(NodalCubicRing(2), 2, Window2D(-4, 1, -8, 8, 0, 0))
+        noncoherent_chain(NodalCubicRing(2), 2, -4, 1)
 
 
 def test_noncoherent_chain_window_too_small():
     with pytest.raises(WindowTooSmallError):
-        noncoherent_chain(NodalCubicRing(6), 4, Window2D(-4, 1, -8, 8, 0, 0))
+        noncoherent_chain(NodalCubicRing(6), 4, -4, 1)
 
 
 def test_datum_validation():

@@ -1,11 +1,12 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from fixtures import pair_equal_in_window
-from oracles import (brute_membership, graded_dimension, graded_slice,
+from oracles import (brute_membership, dense_closure, graded_dimension, graded_slice,
                      random_windowed_rows, slicewise_membership)
 from ribbonlab.errors import (ConfigError, FieldMismatchError,
                               RangeViolationError, SupportViolationError,
@@ -654,3 +655,79 @@ def test_layered_membership_on_non_monomial_levels(case):
     assert verdict is slicewise_membership(L, vec)
     if not stray:
         assert verdict is not Verdict.NOT_IN
+
+
+SPAN_WINDOW = Window2D(-2, 2, -5, 5, 1, 1)
+
+
+def with_level_row(L, b, row):
+    """L with ``row`` (a LaurentPoly) added to the rows of level b."""
+    lvl = L.level(b)
+    new = echelonize(lvl.row_vectors() + [(row,)], 1, lvl.u_lo, lvl.u_hi, lvl.full_below,
+                     field=L.field)
+    return LayeredSubspace(L.field, L.r, L.window,
+                           tuple((bb, new if bb == b else x) for bb, x in L.levels), L.generators)
+
+
+def test_unwitnessed_rows_make_check_inconclusive():
+    # u^1 at level 0 of A: u is in A but u * u = u^2 is not, and no witness
+    # product can see it, so closure goes unverified on exactly that row
+    pair = forward_krichever(make_datum("p2-line", 1), SPAN_WINDOW)
+    rep = check_schur_pair(pair)
+    assert rep.verdict == "pass" and rep.unwitnessed == [] and dense_closure(pair)
+    bad = SchurPair(with_level_row(pair.algebra, 0, LaurentPoly.monomial(QQ, 1)), pair.module)
+    rep = check_schur_pair(bad)
+    assert not dense_closure(bad)
+    assert (rep.verdict, rep.subalgebra, rep.module_closure) == (
+        "inconclusive", "inconclusive", "pass")
+    assert rep.unwitnessed == [{"side": "A", "b": 0, "pivot": [1, 1]}]
+    assert rep.failures == []
+
+
+def test_witness_free_pair_names_every_trusted_row():
+    pair = forward_krichever(make_datum("p2-line", 1), W_AC)
+    bare = SchurPair(*(LayeredSubspace(L.field, L.r, L.window, L.levels, ())
+                       for L in (pair.algebra, pair.module)))
+    rep = check_schur_pair(bare)
+    assert rep.verdict == "inconclusive" and rep.checked == 1
+    named = Counter(entry["side"] for entry in rep.unwitnessed)
+    assert named == {"A": 30, "W": 34}
+
+
+@st.composite
+def mutated_pair(draw):
+    """A built pair with a random trusted row added to a random level, or a witness dropped.
+
+    An added row may come with its own witness t^b * row, so that ``check``
+    must decide the new products instead of stopping at the span rule.
+    """
+    fld = draw(st.sampled_from([QQ, Field(7)]))
+    w = SPAN_WINDOW
+    pair = forward_krichever(make_datum("p2-line", draw(st.integers(0, 1))), w, fld)
+    sides = {"A": pair.algebra, "W": pair.module}
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from("AW"))
+        L = sides[name]
+        if draw(st.booleans()):
+            b = draw(st.integers(w.t_lo, w.t_hi - 1))
+            exps = draw(st.lists(st.integers(w.u_lo + w.m_u, w.u_trusted_hi - 1),
+                                 min_size=1, max_size=3, unique=True))
+            coeffs = {a: draw(st.sampled_from([-2, -1, 1, 2, 3])) for a in exps}
+            L = with_level_row(L, b, LaurentPoly.from_dict(fld, coeffs))
+            if draw(st.booleans()):
+                witness = Local2DElement.from_dict(fld, {(a, b): c for a, c in coeffs.items()})
+                L = LayeredSubspace(fld, 1, w, L.levels, L.generators + ((witness,),))
+        elif L.generators:
+            i = draw(st.integers(0, len(L.generators) - 1))
+            L = LayeredSubspace(fld, 1, w, L.levels, L.generators[:i] + L.generators[i + 1:])
+        sides[name] = L
+    return SchurPair(sides["A"], sides["W"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_pair())
+def test_check_passes_only_pairs_the_dense_closure_oracle_passes(pair):
+    rep = check_schur_pair(pair)
+    event(f"{rep.verdict}, unwitnessed rows: {bool(rep.unwitnessed)}")
+    if rep.verdict == "pass":
+        assert dense_closure(pair)
