@@ -192,9 +192,8 @@ def _cmd_noncoherent(args) -> int:
     if t_lo >= t_hi:
         raise ConfigError("window bounds must satisfy t_lo < t_hi")
     fld = Field.from_tag(args.field)
-    if t_lo > -args.max_k - 1 or t_hi < 1:
-        # derive the minimal window the chain needs instead of failing on defaults
-        t_lo, t_hi = -args.max_k - 1, max(1, t_hi)
+    # widen a bound that falls short of the levels the chain needs; keep one that covers them
+    t_lo, t_hi = min(t_lo, -args.max_k - 1), max(t_hi, 1)
     ring = NodalCubicRing(args.degree_bound, fld)
     dims = noncoherent_chain(ring, args.max_k, t_lo, t_hi)
     obj = {

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ConfigError, FieldMismatchError, ZeroOrderError
-from .series import Field, LaurentPoly, json_int
+from .series import Field, json_int
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,8 @@ class Local2DElement:
     Canonical means: terms strictly increasing in (b, a), no zero
     coefficient, and every coefficient a Scalar of ``field``.  Only
     ``from_dict`` coerces, and ``from_json`` hands it the raw terms (together
-    they are the input boundary); the arithmetic and ``t_slice`` build
-    their results directly from canonical terms, so equal elements have
-    equal ``terms``.
+    they are the input boundary); the arithmetic builds its results
+    directly from canonical terms, so equal elements have equal ``terms``.
     """
 
     field: Field
@@ -86,10 +85,6 @@ class Local2DElement:
         terms = [(k, c) for k, c in items.items() if c]
         terms.sort(key=lambda kc: (kc[0][1], kc[0][0]))
         return Local2DElement(field, tuple(terms))
-
-    @staticmethod
-    def zero(field: Field) -> "Local2DElement":
-        return Local2DElement(field, ())
 
     @staticmethod
     def one(field: Field) -> "Local2DElement":
@@ -185,10 +180,6 @@ class Local2DElement:
         if not self.terms:
             raise ZeroOrderError("ord_t of the zero element is undefined")
         return self.terms[0][0][1]
-
-    def t_slice(self, b: int) -> LaurentPoly:
-        """Coefficient of t^b as a Laurent polynomial in u."""
-        return LaurentPoly(self.field, tuple((a, c) for (a, bb), c in self.terms if bb == b))
 
     def to_json(self, component: Union[int, None] = None) -> dict:
         obj = {"terms": [[a, b, self.field.format(c)] for (a, b), c in self.terms]}

@@ -54,6 +54,11 @@ def enlarge(W: WindowedSubspace, u_lo: int, u_hi: int) -> WindowedSubspace:
     return echelonize(rows, W.r, u_lo, u_hi, W.full_below, field=W.field)
 
 
+def t_slice(x: Local2DElement, b: int) -> LaurentPoly:
+    """Coefficient of t^b in x as a Laurent polynomial in u, read off x's canonical terms."""
+    return LaurentPoly(x.field, tuple((a, c) for (a, bb), c in x.terms if bb == b))
+
+
 def contains_monomial(g, a: int, b: int, side: str = "A") -> bool:
     """Whether u^a t^b lies on the datum's side, read off its ``level_bound``."""
     bound = g.level_bound(b, side)

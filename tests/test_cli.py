@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import pair_equal_in_window
 from ribbonlab.cli import _parser, main
+from ribbonlab.geometry import NodalCubicRing, noncoherent_chain
 from ribbonlab.schur import SchurPair
 
 
@@ -206,6 +207,16 @@ def test_report_noncoherent(tmp_path):
                "--out", str(out)) == 0
     dims = load(out)["dims"]
     assert dims == sorted(dims) and len(set(dims)) == 3
+
+
+def test_report_noncoherent_widens_only_the_short_bound(tmp_path):
+    # t_lo -8 already covers -max_k - 1 = -4; only t_hi -2 falls short of 1
+    out = tmp_path / "n.json"
+    assert run("report", "demo-noncoherent", "--max-k", "3", "--degree-bound", "6",
+               "--t-lo", "-8", "--t-hi", "-2", "--out", str(out)) == 0
+    rep = load(out)
+    assert rep["config"]["window"] == {"t_lo": -8, "t_hi": 1}
+    assert rep["dims"] == noncoherent_chain(NodalCubicRing(6), 3, -8, 1)
 
 
 @pytest.mark.parametrize("command", [("order-group", "--example", "p2-line"),

@@ -60,6 +60,59 @@ def test_echelon_matches_two_pass_elimination(data, field):
     assert _linalg.echelon(rows) == two_pass_echelon(rows)
 
 
+def monic(field, row, sign=1):
+    """``row`` scaled to ``sign`` at its least key; the empty row stays empty."""
+    if not row:
+        return row
+    inv = field.scalar(sign) / row[min(row)]
+    return {k: c * inv for k, c in row.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), field=st.sampled_from([QQ, Field(13), Field(2 ** 31 - 1)]))
+def test_echelon_keeps_monic_remainders_exactly(data, field):
+    """Rows already 1 at their least key, rows that reach 1 only after
+    reduction, and rows at -1 (p - 1 in F_p), which must still be scaled."""
+    draw_row = st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=5).map(
+        lambda row: {k: c for k, c in in_field(field, row).items() if c})
+    rows = []
+    for kind in data.draw(st.lists(st.sampled_from(["monic", "negated", "reduces-to-monic"]),
+                                   min_size=1, max_size=10)):
+        row = data.draw(draw_row)
+        if kind == "monic":
+            new = monic(field, row)
+        elif kind == "negated":
+            new = monic(field, row, -1)
+        else:
+            # a monic row off the current pivots plus a multiple of an earlier row:
+            # its remainder is exactly the monic part, whatever its own least key holds
+            pivots = {min(r) for r in two_pass_echelon(rows)}
+            new = monic(field, {k: c for k, c in row.items() if k not in pivots})
+            if rows:
+                y = data.draw(st.sampled_from(rows))
+                new = {k: c for k, c in combination(field, new, y, 1, data.draw(VALUES)).items()
+                       if c}
+            rows.append(new)  # after every row whose span it was built against
+            continue
+        rows.insert(data.draw(st.integers(0, len(rows))), new)
+    basis = _linalg.echelon(rows)
+    assert basis == two_pass_echelon(rows)
+    assert all(row[min(row)].value == 1 for row in basis)
+
+
+def test_echelon_neither_mutates_nor_returns_its_rows():
+    f = Field(13)
+    rows = [{(0, 0): f.scalar(1), (1, 0): f.scalar(1), (2, 0): f.scalar(5)},  # kept as its remainder
+            {(1, 0): f.scalar(1), (2, 0): f.scalar(12)},  # monic; the first row holds (1, 0) at 1
+            {(3, 0): f.scalar(12), (4, 0): f.scalar(3)},  # -1 = 12 at its least key: scaled
+            {(-1, 0): f.scalar(1), (0, 0): f.scalar(1)}]
+    before = [dict(row) for row in rows]
+    basis = _linalg.echelon(rows)
+    assert rows == before
+    assert not any(b is r for b in basis for r in rows)
+    assert basis == two_pass_echelon(before)
+
+
 def test_echelon_over_q_stores_integral_values_as_ints():
     # integer rows whose pivots are +-2 and +-3, so elimination divides
     matrix = [

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from fixtures import pair_equal_in_window
+from fixtures import pair_equal_in_window, t_slice
 from oracles import (brute_membership, dense_closure, graded_dimension, graded_slice,
                      random_windowed_rows, slicewise_membership)
 from ribbonlab.errors import (ConfigError, FieldMismatchError,
@@ -37,7 +37,7 @@ def monomial_level(bound, w, field=QQ):
 
 
 def test_layered_membership_zero_is_in(p2_pair):
-    assert layered_membership(p2_pair.algebra, Local2DElement.zero(QQ)) is Verdict.IN
+    assert layered_membership(p2_pair.algebra, Local2DElement(QQ)) is Verdict.IN
 
 
 def test_layered_membership_reduction_oracle(p2_pair):
@@ -290,7 +290,7 @@ def test_layered_membership_soundness_vs_brute_force():
         if verdict is Verdict.IN:
             for b in sorted({b for (_a, b), _c in x.terms}):
                 lvl = L.level(b)
-                assert brute_membership(lvl.row_vectors(), (x.t_slice(b),),
+                assert brute_membership(lvl.row_vectors(), (t_slice(x, b),),
                                         QQ, 1, w.u_lo, w.u_hi)
 
 
