@@ -6,12 +6,6 @@ profile reads off leading orders from below, which is the convention every
 filtration in this package uses.  There is one elimination kernel,
 ``reduce_vector`` against a reduced basis: ``echelon`` builds its basis with
 it, and membership tests reduce against the basis ``echelon`` returns.
-
-Scaling by one is skipped rather than performed: ``echelon`` keeps a
-remainder that is already 1 at its least key as its basis row.  That is
-exact because c * 1 = c, and the remainder is ``reduce_vector``'s own copy,
-shared with no input row.  Monomial levels, monic witness slices and the +1
-Cech columns arrive that way (``echelon`` names the callers).
 """
 
 from __future__ import annotations
@@ -45,15 +39,10 @@ def echelon(rows) -> list:
     and that key is cleared from the kept rows.  The form is unique, so the
     result depends only on the span.
 
-    Scaling by one is skipped.  A remainder already 1 at its least key is
-    kept as it is: c * 1 = c, and it is ``reduce_vector``'s fresh dict, so
-    neither ``rows`` nor any of its dicts is modified or returned.  A kept
-    row that holds the new key with coefficient 1 has the new row itself
-    subtracted.  One is tested on the value, since ``Field.one`` builds a
-    new Scalar on each access.  Monic rows come from the monomial levels of
-    ``forward_krichever`` and of pair files (through ``echelonize``), from
-    monic witness slices in ``schur._unwitnessed_rows``, and from the +1
-    columns of ``cohomology.cech_line_bundle``.
+    A remainder already 1 at its least key is kept as it is, without
+    scaling: c * 1 = c, and it is ``reduce_vector``'s fresh dict, so neither
+    ``rows`` nor any of its dicts is modified or returned.  One is tested on
+    the value, since ``Field.one`` builds a new Scalar on each access.
     """
     pivots: dict = {}
     for row in rows:
@@ -67,7 +56,7 @@ def echelon(rows) -> list:
             for k2, kept in pivots.items():
                 c = kept.get(k)
                 if c:
-                    pivots[k2] = row_sub(kept, new if c.value == 1 else row_scale(new, c))
+                    pivots[k2] = row_sub(kept, row_scale(new, c))
         pivots[k] = new
     return [pivots[k] for k in sorted(pivots)]
 
