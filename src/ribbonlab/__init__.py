@@ -18,9 +18,8 @@ from .fredholm import (Verdict, WindowedSubspace, echelonize, fredholm_index,
                        membership)
 from .geometry import (EVEN_VARIANT, KINDS, NILPOTENT, NODAL_CUBIC, P2_LINE,
                        GeometricDatum, NodalCubicRing, OrderGroupReport,
-                       RibbonAxiomReport, forward_krichever, level_index_table,
-                       make_datum, noncoherent_chain, order_group,
-                       validate_ribbon_axioms)
+                       forward_krichever, level_index_table, make_datum,
+                       noncoherent_chain, order_group)
 from .local2d import Local2DElement, Window2D, ord_t_vector
 from .schur import (LayeredSubspace, PointIdealReport, SchurPair, SchurReport,
                     check_schur_pair, hilbert_function, layered_membership,

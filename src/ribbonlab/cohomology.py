@@ -106,11 +106,6 @@ class PicardReport:
     h0_vanishing: bool
     bound: int
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "levels": list(self.levels), "d": self.d,
-                "h0_vanishing": self.h0_vanishing, "bound": self.bound,
-                "note": "abelianized graded pieces; exact because every graded h0 vanishes"}
-
 
 def picard_dimension(g: GeometricDatum, depth: int, B: int, fld: Field = QQ) -> PicardReport:
     """Dimension of the unipotent Picard part of the depth-i thickening.

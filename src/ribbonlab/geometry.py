@@ -11,13 +11,12 @@ The "even-variant" datum is synthetic (not a geometric example): it restricts
 the plane algebra to even t-orders purely to exercise the d > 1 case of the
 cyclic order group, and is labeled as synthetic in all outputs.  The
 "nilpotent" datum carries its own multiplication rule t_i t_j = 0 for
-i, j != 0, which the order and axiom scans use instead of the field product.
+i, j != 0, which only ``order_group`` uses instead of the field product.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -27,7 +26,7 @@ from .errors import (ConfigError, DegreeBoundError, UnsupportedDatumError,
 # fredholm_index is unused here, but bench/tracing.py patches it by name (ROADMAP item 2)
 from .fredholm import echelonize, fredholm_index
 from .local2d import Local2DElement, Window2D
-from .schur import LayeredSubspace, Router, SchurPair, level_index_rows
+from .schur import LayeredSubspace, SchurPair, level_index_rows
 from .series import QQ, Field, LaurentPoly
 
 P2_LINE = "p2-line"
@@ -184,70 +183,6 @@ def order_group(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> OrderGroupRe
     d = math.gcd(*(b for _a, b in found))
     witness = (found[0], (-found[0][0], -found[0][1])) if found else None
     return OrderGroupReport(d, witness, window_limited=(d == 0))
-
-
-@dataclass
-class RibbonAxiomReport:
-    unit: bool
-    products_pass: bool
-    products_checked: int
-    products_vanished: int
-    products_deferred: int
-    products_escaped: int
-    torsion_free: bool
-    bad_levels: list
-
-    @property
-    def all_pass(self) -> bool:
-        return self.unit and self.products_pass and self.torsion_free
-
-    def to_json(self) -> dict:
-        return {
-            "unit_at_level_zero": self.unit,
-            "filtered_products": {
-                "pass": self.products_pass,
-                "checked": self.products_checked,
-                "vanished": self.products_vanished,
-                "deferred": self.products_deferred,
-                "escaped": self.products_escaped,
-            },
-            "torsion_free_levels": {"pass": self.torsion_free,
-                                    "bad_levels": list(self.bad_levels)},
-            "verdict": "pass" if self.all_pass else "fail",
-        }
-
-
-def _validate_layered(g: GeometricDatum, layer: LayeredSubspace) -> RibbonAxiomReport:
-    """Route the datum's products of witness pairs through the Schur-check router.
-
-    No t-order test is needed: t-orders add under the field product, and the
-    nilpotent product only drops terms, so ord_t(xy) >= ord_t(x) + ord_t(y).
-    """
-    w = layer.window
-    route = Router(A=layer)
-    unit = route("A", (Local2DElement.one(layer.field),)) == "in"
-
-    counts = Counter()
-    gens = [vec[0] for vec in layer.generators]
-    for i, x in enumerate(gens):
-        for y in gens[i:]:
-            prod = g.product(x, y)
-            counts[route("A", (prod,)) if prod else "vanished"] += 1
-
-    bad = []
-    for b in range(w.t_lo, w.t_hi):
-        lvl = layer.level(b)
-        bounded = all(e < w.u_trusted_hi for (e, _c) in lvl.pivots)
-        if not (lvl.full_below and bounded):
-            bad.append(b)
-    return RibbonAxiomReport(unit, counts["not-in"] == 0, counts["in"], counts["vanished"],
-                             counts["deferred"], counts["escaped"], not bad, bad)
-
-
-def validate_ribbon_axioms(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> RibbonAxiomReport:
-    """Windowed check of the filtration axioms: unit, graded products, torsion-freeness."""
-    pair = forward_krichever(g, w, fld)
-    return _validate_layered(g, pair.algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,6 @@ class Local2DElement:
     def __add__(self, other: "Local2DElement") -> "Local2DElement":
         return self._merge(other, False)
 
-    def __neg__(self) -> "Local2DElement":
-        return Local2DElement(self.field, tuple((k, -c) for k, c in self.terms))
-
     def __sub__(self, other: "Local2DElement") -> "Local2DElement":
         return self._merge(other, True)
 

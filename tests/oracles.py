@@ -3,11 +3,14 @@
 Everything here recomputes results by a different route than the package:
 dense list-based Gaussian elimination over an explicitly enumerated
 component-major coordinate basis, sparse two-pass elimination, closed-form
-Riemann-Roch counts, and the pole-divisor computation on the plane.  Nothing
-imports the package's sparse echelon engine.
+Riemann-Roch counts, the pole-divisor computation on the plane, and a
+ribbon-axiom scan of an algebra side that decides products slice by slice.
+Nothing imports the package's sparse echelon engine or its Schur check.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from ribbonlab.errors import RangeViolationError, WindowMismatchError
 from ribbonlab.fredholm import Verdict, WindowedSubspace
@@ -219,6 +222,75 @@ def dense_closure(pair) -> bool:
                 if not stays_in(side, L, prod):
                     return False
     return True
+
+
+def axiom_scan(g, layer) -> dict:
+    """Windowed ribbon axioms of an algebra side: unit, graded products, torsion-free levels.
+
+    Products of witness pairs are formed term by term, by ``nilpotent_product``
+    on the nilpotent datum and ``local2d_reference`` otherwise.  A zero
+    product is counted as vanished, and one whose t-order falls below the sum
+    of its factors' is not-in.  Every other product, and the unit, is
+    classified as ``check`` routes it: escaped at a term outside the t-window,
+    at or above u_hi, or below u_lo at a level without a full tail; terms
+    below u_lo at a full level are dropped; zero is in; a term in a top
+    margin band defers it.  The rest is in iff each t^b slice lies in level
+    b, by ``brute_membership`` memoised per slice.  A level is torsion-free
+    when it has a full tail and no pivot at or above u_trusted_hi.  As in
+    the report this reproduces, "checked" counts only the products found in.
+    """
+    w, fld = layer.window, layer.field
+    seen = {}
+
+    def route(x) -> str:
+        slices, in_margin = {}, False
+        for (a, b), c in x.terms:
+            if not w.t_lo <= b < w.t_hi or a >= w.u_hi:
+                return "escaped"
+            if a < w.u_lo:
+                if not layer.level(b).full_below:
+                    return "escaped"
+                continue
+            in_margin = in_margin or b >= w.t_trusted_hi or a >= w.u_trusted_hi
+            slices.setdefault(b, {})[a] = c.value
+        if slices and in_margin:
+            return "deferred"
+        for b, coeffs in slices.items():
+            vec = (LaurentPoly.from_dict(fld, coeffs),)
+            key = (b, vec[0].coeffs)
+            if key not in seen:
+                seen[key] = brute_membership(layer.level(b).row_vectors(), vec, fld, 1,
+                                             w.u_lo, w.u_hi)
+            if not seen[key]:
+                return "not-in"
+        return "in"
+
+    def ord_t(x) -> int:
+        return min(b for (_a, b), _c in x.terms)
+
+    unit = route(Local2DElement.one(fld)) == "in"
+    counts = Counter()
+    gens = [vec[0] for vec in layer.generators]
+    for i, x in enumerate(gens):
+        for y in gens[i:]:
+            prod = nilpotent_product(x, y) if g.kind == "nilpotent" else local2d_reference(x, y, "*")
+            if not prod:
+                counts["vanished"] += 1
+            elif ord_t(prod) < ord_t(x) + ord_t(y):
+                counts["not-in"] += 1
+            else:
+                counts[route(prod)] += 1
+    bad = [b for b in range(w.t_lo, w.t_hi) if not layer.level(b).full_below
+           or any(min(k for k, _x in row)[0] >= w.u_trusted_hi for row in layer.level(b).rows)]
+    products_pass = counts["not-in"] == 0
+    return {
+        "unit_at_level_zero": unit,
+        "filtered_products": {"pass": products_pass, "checked": counts["in"],
+                              "vanished": counts["vanished"], "deferred": counts["deferred"],
+                              "escaped": counts["escaped"]},
+        "torsion_free_levels": {"pass": not bad, "bad_levels": bad},
+        "verdict": "pass" if unit and products_pass and not bad else "fail",
+    }
 
 
 def _dense_basis(r: int, u_lo: int, u_hi: int):

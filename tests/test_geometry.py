@@ -1,21 +1,18 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fixtures import contains_monomial, random_local2d
-from oracles import chi, nilpotent_product, section_monomial_allowed
+from oracles import axiom_scan, chi, nilpotent_product, section_monomial_allowed
 from ribbonlab.errors import (ConfigError, DegreeBoundError,
                               UnsupportedDatumError, WindowTooSmallError)
 from ribbonlab.fredholm import Verdict, echelonize
 from ribbonlab.geometry import (PROJECTIVE_KINDS, NodalCubicRing,
-                                RibbonAxiomReport, _validate_layered,
                                 forward_krichever, level_index_table,
-                                make_datum, noncoherent_chain, order_group,
-                                validate_ribbon_axioms)
+                                make_datum, noncoherent_chain, order_group)
 from ribbonlab.local2d import Local2DElement, Window2D
-from ribbonlab.schur import (LayeredSubspace, _route_check, check_schur_pair,
+from ribbonlab.schur import (LayeredSubspace, SchurPair, check_schur_pair,
                              layered_membership)
 from ribbonlab.series import QQ, Field
 
@@ -128,14 +125,17 @@ def test_even_variant_fails_per_level_fredholm():
 
 
 def test_validate_ribbon_axioms_plane():
-    rep = validate_ribbon_axioms(make_datum("p2-line", 0), W_AC)
-    assert rep.all_pass and rep.products_vanished == 0
+    g = make_datum("p2-line", 0)
+    rep = axiom_scan(g, forward_krichever(g, W_AC).algebra)
+    assert rep["verdict"] == "pass" and rep["filtered_products"]["vanished"] == 0
 
 
 def test_validate_ribbon_axioms_nilpotent_relations():
-    rep = validate_ribbon_axioms(make_datum("nilpotent"), W_AC)
-    assert rep.unit and rep.products_pass and rep.torsion_free
-    assert rep.products_vanished > 0  # t_i t_j = 0 away from level zero
+    g = make_datum("nilpotent")
+    rep = axiom_scan(g, forward_krichever(g, W_AC).algebra)
+    assert rep["unit_at_level_zero"] and rep["filtered_products"]["pass"]
+    assert rep["torsion_free_levels"]["pass"]
+    assert rep["filtered_products"]["vanished"] > 0  # t_i t_j = 0 away from level zero
 
 
 def corrupt_level_zero(layer):
@@ -151,33 +151,8 @@ def corrupt_level_zero(layer):
 def test_validate_ribbon_axioms_corrupted_level():
     g = make_datum("p2-line", 0)
     corrupted = corrupt_level_zero(forward_krichever(g, W_AC).algebra)
-    rep = _validate_layered(g, corrupted)
-    assert not rep.torsion_free and 0 in rep.bad_levels
-
-
-def unrouted_axiom_scan(g, layer):
-    """Reference for _validate_layered: a t-order test and an unmemoised route per product."""
-    w = layer.window
-    unit = _route_check(layer, (Local2DElement.one(layer.field),)) == "in"
-    counts = Counter()
-    gens = [vec[0] for vec in layer.generators]
-    for i, x in enumerate(gens):
-        for y in gens[i:]:
-            prod = g.product(x, y)
-            if not prod:
-                counts["vanished"] += 1
-            elif prod.ord_t() < x.ord_t() + y.ord_t():
-                counts["not-in"] += 1
-            else:
-                counts[_route_check(layer, (prod,))] += 1
-    bad = []
-    for b in range(w.t_lo, w.t_hi):
-        lvl = layer.level(b)
-        pivots = [min(row) for row in lvl.row_dicts()]
-        if not (lvl.full_below and all(e < w.u_trusted_hi for (e, _c) in pivots)):
-            bad.append(b)
-    return RibbonAxiomReport(unit, counts["not-in"] == 0, counts["in"], counts["vanished"],
-                             counts["deferred"], counts["escaped"], not bad, bad).to_json()
+    rep = axiom_scan(g, corrupted)
+    assert not rep["torsion_free_levels"]["pass"] and 0 in rep["torsion_free_levels"]["bad_levels"]
 
 
 def bench_window(h):
@@ -188,28 +163,32 @@ def bench_window(h):
 @pytest.mark.parametrize("kind,twist", [("p2-line", 0), ("p2-line", 2), ("nilpotent", 0),
                                         ("even-variant", 0)])
 def test_validate_ribbon_axioms_matches_unrouted_scan(kind, twist, h):
+    # check and the axiom scan share no engine; only their overall verdicts are compared
     g = make_datum(kind, twist)
-    w = bench_window(h)
-    got = validate_ribbon_axioms(g, w).to_json()
-    assert got == unrouted_axiom_scan(g, forward_krichever(g, w).algebra)
-    # the even variant's odd levels are zero, without a below-window tail
+    pair = forward_krichever(g, bench_window(h))
+    got = axiom_scan(g, pair.algebra)
+    # the even variant's odd levels are zero, without a below-window tail;
+    # check fails it on the Fredholm marker instead
     assert got["verdict"] == ("fail" if kind == "even-variant" else "pass")
+    assert check_schur_pair(pair).verdict == got["verdict"]
 
 
 def test_validate_ribbon_axioms_matches_unrouted_scan_on_broken_layers():
     g = make_datum("p2-line", 0)
-    layer = forward_krichever(g, W_AC).algebra
+    pair = forward_krichever(g, W_AC)
+    layer = pair.algebra
     corrupted = corrupt_level_zero(layer)
-    got = _validate_layered(g, corrupted).to_json()
-    assert got == unrouted_axiom_scan(g, corrupted)
+    got = axiom_scan(g, corrupted)
     assert got["torsion_free_levels"] == {"pass": False, "bad_levels": [0]}
+    # check's subalgebra is inconclusive here; its Fredholm marker fails
+    assert check_schur_pair(SchurPair(corrupted, pair.module)).verdict == got["verdict"] == "fail"
 
     injected = LayeredSubspace(QQ, 1, W_AC, layer.levels,
                                layer.generators + ((Local2DElement.monomial(QQ, 1, 0),),))
-    got = _validate_layered(g, injected).to_json()
-    assert got == unrouted_axiom_scan(g, injected)
+    got = axiom_scan(g, injected)
     assert got["filtered_products"] == {"pass": False, "checked": 476, "vanished": 0,
                                         "deferred": 15, "escaped": 0}
+    assert check_schur_pair(SchurPair(injected, pair.module)).verdict == got["verdict"] == "fail"
 
 
 @pytest.mark.parametrize("h", [4, 6, 8])
