@@ -14,6 +14,8 @@ from typing import Sequence, Union
 from .errors import ConfigError, FieldMismatchError, ZeroOrderError
 from .series import Field, json_int
 
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Window2D:
@@ -70,8 +72,16 @@ class Local2DElement:
     directly from canonical terms, so equal elements have equal ``terms``.
     """
 
+    __slots__ = ("field", "terms")
     field: Field
-    terms: tuple = ()  # ((a, b), Scalar), sorted by (b, a)
+    terms: tuple  # ((a, b), Scalar), sorted by (b, a)
+
+    def __init__(self, field: Field, terms: tuple = ()):
+        _set(self, "field", field)
+        _set(self, "terms", terms)
+
+    def __reduce__(self):
+        return Local2DElement, (self.field, self.terms)
 
     @staticmethod
     def from_dict(field: Field, d) -> "Local2DElement":
@@ -154,8 +164,8 @@ class Local2DElement:
             x, y = y, x
         if len(y) == 1:
             ((a2, b2), c2), = y
-            return Local2DElement(self.field, tuple(
-                ((a1 + a2, b1 + b2), c1 * c2) for (a1, b1), c1 in x))
+            return Local2DElement(self.field, tuple([
+                ((a1 + a2, b1 + b2), c1 * c2) for (a1, b1), c1 in x]))
         d: dict = {}  # keyed (b, a), so sorting the keys gives the term order
         met = set()
         for (a1, b1), c1 in x:

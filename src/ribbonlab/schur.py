@@ -43,7 +43,7 @@ def as_vector(x, r: int) -> tuple:
 
 
 def scalar_times_vector(a: Local2DElement, vec: Sequence[Local2DElement]) -> tuple:
-    return tuple(a * x for x in vec)
+    return tuple([a * x for x in vec])
 
 
 @dataclass(frozen=True)

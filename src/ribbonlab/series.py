@@ -6,6 +6,11 @@ elements are residues.  A Laurent polynomial is a value type, a finite
 sorted map exponent -> nonzero scalar that carries one k((u)) component
 into elimination and pair files; it has no arithmetic of its own.  Ring
 arithmetic, orders included, is ``Local2DElement``'s.
+
+The value types ``Scalar``, ``LaurentPoly`` and ``Local2DElement`` are
+frozen dataclasses that declare their own ``__slots__`` and pickle through
+``__init__``: under ``dataclass(slots=True)`` Python 3.10 and 3.11 raise
+TypeError, not FrozenInstanceError, when a new attribute is assigned.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from typing import Union
 from .errors import ConfigError, FieldMismatchError
 
 MAX_PRIME = 2 ** 31
+
+_set = object.__setattr__  # fills a frozen value type's slots in __init__
 
 
 def json_int(value, what: str) -> int:
@@ -139,8 +146,16 @@ class Scalar:
     is the residue in [0, p).
     """
 
+    __slots__ = ("field", "value")
     field: Field
     value: Union[Fraction, int]
+
+    def __init__(self, field: Field, value: Union[Fraction, int]):
+        _set(self, "field", field)
+        _set(self, "value", value)
+
+    def __reduce__(self):
+        return Scalar, (self.field, self.value)
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
@@ -162,7 +177,16 @@ class Scalar:
         return Scalar(self.field, _rational(v) if p is None else v % p)
 
     def __mul__(self, other):
+        """Product; a factor equal to one returns the other factor itself.
+
+        The only canonical value equal to one is the int ``1``, so the result
+        is an existing Scalar, equal to the product and immutable.
+        """
         other = self._coerce(other)
+        if other.value == 1:
+            return self
+        if self.value == 1:
+            return other
         v, p = self.value * other.value, self.field.p
         return Scalar(self.field, _rational(v) if p is None else v % p)
 
@@ -200,8 +224,16 @@ class Scalar:
 class LaurentPoly:
     """Finite Laurent polynomial in u: sorted tuple of (exponent, nonzero scalar)."""
 
+    __slots__ = ("field", "coeffs")
     field: Field
-    coeffs: tuple = ()
+    coeffs: tuple
+
+    def __init__(self, field: Field, coeffs: tuple = ()):
+        _set(self, "field", field)
+        _set(self, "coeffs", coeffs)
+
+    def __reduce__(self):
+        return LaurentPoly, (self.field, self.coeffs)
 
     @staticmethod
     def from_dict(field: Field, d) -> "LaurentPoly":

@@ -1,10 +1,16 @@
-"""Seeded random elements, window helpers, datum queries and pair comparison for the tests.
+"""Seeded random elements, window helpers, datum queries, pair comparison and a
+value-semantics check for the tests.
 
 Each generator draws a term's key before its coefficient, so a seed always
 yields the same sequence of elements.
 """
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
+
+import pytest
 
 from ribbonlab.errors import WindowMismatchError
 from ribbonlab.fredholm import WindowedSubspace, echelonize
@@ -78,3 +84,21 @@ def pair_equal_in_window(p1, p2) -> bool:
             if side1.level(b).full_below != side2.level(b).full_below:
                 return False
     return True
+
+
+def assert_frozen_value(x, twin):
+    """``x`` and its separately built equal ``twin`` behave as one immutable value.
+
+    No ``__dict__``; every assignment or deletion, of a field or of a new
+    name, raises FrozenInstanceError; equal values hash alike; and a deep
+    copy or a pickle round trip gives an equal object of the same type.
+    """
+    assert x == twin and x is not twin and hash(x) == hash(twin)
+    assert not hasattr(x, "__dict__")
+    for name in [f.name for f in dataclasses.fields(x)] + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+    for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import enlarged, random_local2d, support_radius, t_slice
+from fixtures import assert_frozen_value, enlarged, random_local2d, support_radius, t_slice
 from oracles import local2d_reference, t_slice_reference
 from ribbonlab.errors import ConfigError, FieldMismatchError, ZeroOrderError
 from ribbonlab.local2d import Local2DElement, Window2D, ord_t_vector
@@ -240,3 +240,12 @@ def test_from_dict_rejects_non_integer_exponents(key):
         Local2DElement.from_dict(QQ, {key: 1})
     with pytest.raises(ConfigError, match="exponent"):
         Local2DElement.monomial(QQ, *key)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: el(QQ, {(0, 0): "1/2", (-3, 1): 4}),
+    lambda: el(F_MERSENNE, {(2, -1): -1}),
+    lambda: Local2DElement(F5),
+], ids=["Q", "Fp-one-term", "zero"])
+def test_local2d_element_is_a_frozen_value(make):
+    assert_frozen_value(make(), make())

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fixtures import assert_frozen_value
 from ribbonlab.errors import ConfigError, FieldMismatchError
-from ribbonlab.series import QQ, Field, LaurentPoly
+from ribbonlab.series import QQ, Field, LaurentPoly, Scalar
 
 F7 = Field(7)
 
@@ -102,6 +103,8 @@ def assert_canonical(s, expected: Fraction):
 @example(x=Fraction(1, 2), y=Fraction(1, 2), k=1)  # integral sum
 @example(x=Fraction(4, 3), y=Fraction(3, 2), k=1)  # integral product
 @example(x=1, y=0, k=1)
+@example(x=Fraction(3, 2), y=1, k=1)  # product by one
+@example(x=1, y=Fraction(-5, 7), k=1)  # one times a product
 def test_rational_scalars_match_fraction_arithmetic(x, y, k):
     fx, fy = Fraction(x), Fraction(y)
     a, b = QQ.scalar(x), QQ.scalar(y)
@@ -124,3 +127,30 @@ def test_rational_scalars_match_fraction_arithmetic(x, y, k):
         with pytest.raises(ZeroDivisionError):
             a / b
 
+
+@pytest.mark.parametrize("make", [
+    lambda: QQ.scalar(4),
+    lambda: QQ.scalar("-3/4"),
+    lambda: Field(2 ** 31 - 1).scalar(-1),
+    lambda: Scalar(F7, 0),
+    lambda: lp(QQ, {-2: "3/4", 1: 2}),
+    lambda: lp(F7, {3: 5}),
+    lambda: LaurentPoly(QQ),
+], ids=["Q-int", "Q-fraction", "Fp-residue", "Fp-zero", "poly-Q", "poly-F7", "poly-zero"])
+def test_scalar_and_laurent_poly_are_frozen_values(make):
+    assert_frozen_value(make(), make())
+
+
+def test_product_by_one_returns_the_other_factor():
+    f = Field(2 ** 31 - 1)
+    one, c = f.one, f.scalar(-3)
+    for got in (one * c, c * one, c * 1, 1 * c):
+        assert got is c and got.value == 2 ** 31 - 4
+    assert one * one == one and f.scalar(5) * f.scalar(2) == f.scalar(10)
+
+
+def test_product_by_one_still_checks_the_field():
+    with pytest.raises(FieldMismatchError):
+        F7.scalar(1) * Field(11).scalar(3)
+    with pytest.raises(FieldMismatchError):
+        Field(11).scalar(3) * F7.scalar(1)
