@@ -11,8 +11,7 @@ j = 1..i; it grows like the triangular numbers, with the degree quotient of
 order |d| = 1 collapsing.
 """
 
-from ribbonlab import (LevelStack, cech_line_bundle, make_datum,
-                       picard_dimension, ribbon_cohomology)
+from ribbonlab import cech_line_bundle, make_datum, picard_dimension, ribbon_cohomology
 
 B = 8
 print("twist d : (h0, h1) for d = -6..6")
@@ -24,16 +23,16 @@ for d in range(-4, 3):
     dual = cech_line_bundle(-2 - d, 10)
     print(f"  d={d:+d}: {h}   vs  -2-d={-2 - d:+d}: {dual}")
 
+g = make_datum("p2-line", twist=0)
 print("\nstacked structure sheaf of the thickenings (twist 0):")
 for depth in (2, 5):
-    rep = ribbon_cohomology(LevelStack.for_p2_line(0, depth), B)
+    rep = ribbon_cohomology([g.level_bound(b, "W") for b in range(depth + 1)], B)
     print(f"  depth {depth}: (h0,h1) = ({rep.h0},{rep.h1}) = levelwise sum of "
           f"{[(lv['h0'], lv['h1']) for lv in rep.levels]}, agreement={rep.agreement}, "
           f"transitions surjective={rep.transition_surjective}")
 
-g = make_datum("p2-line", twist=0)
 dims = [picard_dimension(g, i, B).dim for i in range(1, 6)]
-stack_h1 = [ribbon_cohomology(LevelStack(tuple(-j for j in range(1, i + 1))), B).h1
+stack_h1 = [ribbon_cohomology([-j for j in range(1, i + 1)], B).h1
             for i in range(1, 6)]
 print(f"\nunipotent Picard dimensions, depth 1..5: {dims}")
 print(f"h^1 of the level stacks of twists -1..-i:   {stack_h1}")

@@ -7,8 +7,8 @@ together with the cohomological and Picard-group computations that live on
 the same models.
 """
 
-from .cohomology import (LevelStack, PicardReport, RibbonCohomologyReport,
-                         cech_line_bundle, picard_dimension, ribbon_cohomology)
+from .cohomology import (PicardReport, RibbonCohomologyReport, cech_line_bundle,
+                         picard_dimension, ribbon_cohomology)
 from .errors import (ConfigError, DegreeBoundError, FieldMismatchError,
                      NotCocompactError, RangeViolationError, RibbonlabError,
                      SupportViolationError, TruncationBoundError,

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .cohomology import LevelStack, picard_dimension, ribbon_cohomology
+from .cohomology import picard_dimension, ribbon_cohomology
 from .errors import (ConfigError, DegreeBoundError, RangeViolationError,
                      RibbonlabError, TruncationBoundError,
                      UnsupportedDatumError, WindowTooSmallError)
@@ -65,7 +65,7 @@ def _load_pair(path: str) -> SchurPair:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return SchurPair.from_json(json.load(fh))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
             raise ConfigError(f"malformed pair file {path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -152,7 +152,7 @@ def _cmd_check(args) -> int:
 def _cmd_hilbert(args) -> int:
     pair = _load_pair(args.pair)
     table = [hilbert_function(pair.algebra, args.j, n) for n in range(args.max_n + 1)]
-    point = point_ideal_check(pair.algebra, min(args.max_n, -pair.window.u_lo))
+    point = point_ideal_check(pair.algebra, args.max_n)
     obj = {
         "j": args.j,
         "table": table,
@@ -165,8 +165,11 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     fld = Field.from_tag(args.field)
-    stack = LevelStack.for_p2_line(args.twist, args.depth)
-    obj = ribbon_cohomology(stack, args.bound, fld).to_json()
+    if args.depth < 0:
+        raise RangeViolationError("truncation depth must be nonnegative")
+    g = GeometricDatum(P2_LINE, args.twist)
+    degrees = [g.level_bound(b, "W") for b in range(args.depth + 1)]
+    obj = ribbon_cohomology(degrees, args.bound, fld).to_json()
     obj["config"] = {"field": fld.tag, "bound": args.bound}
     _write_json(args.out, obj)
     return EXIT_PASS

@@ -5,8 +5,8 @@ Charts are U1 = P^1 minus infinity with coordinate u and U2 = P^1 minus zero
 with coordinate 1/u; a twist-d section moves across the overlap by
 g(u') -> u^d g(1/u), so the chart-2 monomial (1/u)^a lands on overlap
 exponent d - a.  All section spaces are truncated at a chart degree bound B,
-and every report carries the bound so each dimension claim stays an honest
-finite statement.
+and every result states its bound, so each dimension claim stays an honest
+finite statement.  Level degrees come from ``GeometricDatum.level_bound``.
 """
 
 from __future__ import annotations
@@ -36,20 +36,6 @@ def cech_line_bundle(d: int, B: int, fld: Field = QQ):
     columns = [{a: plus} for a in range(B + 1)] + [{d - a: minus} for a in range(B + 1)]
     rank = len(_linalg.echelon(columns))
     return len(columns) - rank, 2 * B - d + 1 - rank
-
-
-@dataclass(frozen=True)
-class LevelStack:
-    """Twists (d_0, ..., d_i) of the graded pieces of a truncated sheaf."""
-
-    twists: tuple
-
-    @staticmethod
-    def for_p2_line(twist: int, depth: int) -> "LevelStack":
-        """Stack of the twist-m sheaf truncated at depth i on the plane/line ribbon."""
-        if depth < 0:
-            raise RangeViolationError("truncation depth must be nonnegative")
-        return LevelStack(tuple(twist - j for j in range(depth + 1)))
 
 
 @dataclass
@@ -84,14 +70,14 @@ class RibbonCohomologyReport:
         }
 
 
-def ribbon_cohomology(stack: LevelStack, B: int, fld: Field = QQ) -> RibbonCohomologyReport:
+def ribbon_cohomology(degrees, B: int, fld: Field = QQ) -> RibbonCohomologyReport:
     """Cohomology of a truncated level stack: one Cech complex per level, summed.
 
-    Each level is the twist-d line bundle of its graded piece; a bound below
+    Level j is the line bundle of twist d = ``degrees[j]``; a bound below
     |d| + 2 at any level raises ``TruncationBoundError``.
     """
     levels = []
-    for d in stack.twists:
+    for d in degrees:
         h0, h1 = cech_line_bundle(d, B, fld)
         levels.append({"d": d, "h0": h0, "h1": h1})
     return RibbonCohomologyReport(sum(lv["h0"] for lv in levels),
@@ -104,22 +90,21 @@ class PicardReport:
     levels: list  # dicts: j, d, h0, h1
     d: int
     h0_vanishing: bool
-    bound: int
 
 
 def picard_dimension(g: GeometricDatum, depth: int, B: int, fld: Field = QQ) -> PicardReport:
     """Dimension of the unipotent Picard part of the depth-i thickening.
 
     h^1 of the level stack of graded pieces, the piece at level j = 1..i being
-    the twist -j(C.C) line bundle; the grading is exact because every piece
-    has vanishing h^0 (the stack's h^0 is 0), as the report records.  Also
-    reports the discrete invariant d = -(C.C) of the degree quotient.
+    the line bundle of degree ``g.level_bound(j, "A")``, -j(C.C) on the
+    p2-line; the grading is exact because every piece has vanishing h^0 (the
+    stack's h^0 is 0), as the report records.  Also reports the discrete
+    invariant d = -(C.C) of the degree quotient.
     """
     if g.kind != P2_LINE:
         raise UnsupportedDatumError("picard dimension is computed for the p2-line datum only")
     if depth < 1:
         raise RangeViolationError("thickening depth must be a positive integer")
-    stack = LevelStack(tuple(-j * g.selfint for j in range(1, depth + 1)))
-    rep = ribbon_cohomology(stack, B, fld)
+    rep = ribbon_cohomology([g.level_bound(j, "A") for j in range(1, depth + 1)], B, fld)
     levels = [dict(lv, j=j) for j, lv in enumerate(rep.levels, 1)]
-    return PicardReport(rep.h1, levels, -g.selfint, rep.h0 == 0, B)
+    return PicardReport(rep.h1, levels, -g.selfint, rep.h0 == 0)

@@ -12,7 +12,7 @@ from fixtures import enlarge, random_local2d
 from oracles import (brute_index, brute_membership, chi, random_windowed_rows,
                      rr_h0, rr_h1)
 from ribbonlab.cli import main as cli_main
-from ribbonlab.cohomology import LevelStack, cech_line_bundle, picard_dimension, ribbon_cohomology
+from ribbonlab.cohomology import cech_line_bundle, picard_dimension, ribbon_cohomology
 from ribbonlab.fredholm import Verdict, echelonize, fredholm_index, membership
 from ribbonlab.geometry import NodalCubicRing, forward_krichever, make_datum, noncoherent_chain, order_group, level_index_table
 from ribbonlab.local2d import Window2D
@@ -66,8 +66,9 @@ def test_ac3_hilbert_reconstruction():
 def test_ac4_cohomology():
     for d in range(-6, 7):
         assert cech_line_bundle(d, 8) == (max(0, d + 1), max(0, -d - 1))
+    g = make_datum("p2-line", 0)
     for depth, want in ((2, (1, 1)), (5, (1, 10))):
-        rep = ribbon_cohomology(LevelStack.for_p2_line(0, depth), 8)
+        rep = ribbon_cohomology([g.level_bound(b, "W") for b in range(depth + 1)], 8)
         assert (rep.h0, rep.h1) == want
         assert rep.agreement and rep.transition_surjective
     _report("AC4 Cech line bundles + ribbon stacks (1,1)/(1,10): PASS")

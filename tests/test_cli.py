@@ -289,6 +289,23 @@ def test_check_exit_code_survives_a_closed_stdout(tmp_path):
         assert proc.stderr.read() == b""
 
 
+@pytest.mark.parametrize("command", [("check",), ("report", "hilbert", "--pair")],
+                         ids=["check", "hilbert"])
+def test_deeply_nested_pair_file_exits_3(tmp_path, command):
+    # json.load runs out of recursion depth on such a file: that is malformed
+    # input, not a failing check, and a real process prints no traceback
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    out = tmp_path / "h.json"
+    proc = subprocess.run([sys.executable, "-m", "ribbonlab.cli", *command, str(bad),
+                           *(["--out", str(out)] if command[0] == "report" else [])],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: malformed pair file") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_exit_codes_deterministic(pair_path, capsys):
     assert run("check", str(pair_path)) == run("check", str(pair_path))
 
@@ -323,9 +340,12 @@ def test_report_hilbert_refuses_a_margin_pivot(tmp_path, capsys):
 
 
 def test_report_hilbert_window_shortfall(pair_path, tmp_path):
-    # depth beyond the pair's t-window is a truncation shortfall, not usage
-    assert run("report", "hilbert", "--pair", str(pair_path), "--j", "6",
-               "--max-n", "2", "--out", str(tmp_path / "h.json")) == 2
+    # depth beyond the pair's t-window, or n past its u-window (u_lo = -8),
+    # is a truncation shortfall, not usage, and writes no report
+    out = tmp_path / "h.json"
+    for flags in (("--j", "6", "--max-n", "2"), ("--max-n", "9")):
+        assert run("report", "hilbert", "--pair", str(pair_path), *flags, "--out", str(out)) == 2
+        assert not out.exists()
 
 
 def test_check_rejects_inconsistent_levels(pair_path, tmp_path):

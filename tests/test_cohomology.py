@@ -3,14 +3,21 @@ import random
 import pytest
 
 from oracles import rr_h0, rr_h1
-from ribbonlab.cohomology import (LevelStack, cech_line_bundle, picard_dimension,
-                                  ribbon_cohomology)
+from ribbonlab.cohomology import cech_line_bundle, picard_dimension, ribbon_cohomology
 from ribbonlab.errors import (RangeViolationError, TruncationBoundError,
                               UnsupportedDatumError)
-from ribbonlab.geometry import make_datum
+from ribbonlab.fredholm import fredholm_index
+from ribbonlab.geometry import forward_krichever, make_datum
+from ribbonlab.local2d import Window2D
 from ribbonlab.series import QQ, Field
 
 F31 = Field(31)
+
+
+def p2_line_degrees(twist, depth):
+    """W-side level degrees d_0..d_depth of the p2-line datum at ``twist``."""
+    g = make_datum("p2-line", twist)
+    return [g.level_bound(b, "W") for b in range(depth + 1)]
 
 
 def test_cech_examples():
@@ -44,32 +51,32 @@ def test_serre_duality_symmetry():
 
 
 def test_ribbon_cohomology_depth_two():
-    rep = ribbon_cohomology(LevelStack.for_p2_line(0, 2), 8)
+    rep = ribbon_cohomology(p2_line_degrees(0, 2), 8)
     assert (rep.h0, rep.h1) == (1, 1)
     assert rep.agreement and rep.transition_surjective
     assert [lv["d"] for lv in rep.levels] == [0, -1, -2]
 
 
 def test_ribbon_cohomology_depth_five():
-    rep = ribbon_cohomology(LevelStack.for_p2_line(0, 5), 8)
+    rep = ribbon_cohomology(p2_line_degrees(0, 5), 8)
     assert (rep.h0, rep.h1) == (1, 10)
     assert rep.agreement and rep.transition_surjective
 
 
 def test_ribbon_cohomology_single_level_matches_line_bundle():
-    rep = ribbon_cohomology(LevelStack((0,)), 8)
+    rep = ribbon_cohomology([0], 8)
     assert (rep.h0, rep.h1) == cech_line_bundle(0, 8) == (1, 0)
 
 
 def test_ribbon_cohomology_transitions_deep_stacks():
     for depth in range(1, 9):
-        rep = ribbon_cohomology(LevelStack.for_p2_line(0, depth), 12)
+        rep = ribbon_cohomology(p2_line_degrees(0, depth), 12)
         assert rep.agreement and rep.transition_surjective
 
 
 def test_ribbon_cohomology_bound_check():
     with pytest.raises(TruncationBoundError):
-        ribbon_cohomology(LevelStack.for_p2_line(0, 7), 8)
+        ribbon_cohomology(p2_line_degrees(0, 7), 8)
 
 
 def test_ribbon_cohomology_matches_riemann_roch_oracle():
@@ -80,10 +87,25 @@ def test_ribbon_cohomology_matches_riemann_roch_oracle():
                 ds = [twist - j for j in range(depth + 1)]
                 tight = max(abs(d) for d in ds) + 2
                 for B in (tight, tight + 3):
-                    rep = ribbon_cohomology(LevelStack.for_p2_line(twist, depth), B, fld)
+                    rep = ribbon_cohomology(p2_line_degrees(twist, depth), B, fld)
                     assert rep.levels == [{"d": d, "h0": rr_h0(d), "h1": rr_h1(d)} for d in ds]
                     assert (rep.h0, rep.h1) == (sum(rr_h0(d) for d in ds),
                                                 sum(rr_h1(d) for d in ds))
+
+
+def test_cech_euler_characteristic_is_the_pair_level_index():
+    # Riemann-Roch on P^1 from both sides of the link: h0 - h1 of the Cech
+    # complex at a level degree equals the Fredholm index of that level of
+    # the forward pair, on W and on A
+    w = Window2D(-6, 6, -12, 12, 3, 3)
+    bs = range(w.t_lo + w.m_t, w.t_hi - w.m_t)
+    for twist in range(-2, 4):
+        g = make_datum("p2-line", twist)
+        pair = forward_krichever(g, w)
+        for side, L in (("W", pair.module), ("A", pair.algebra)):
+            rep = ribbon_cohomology([g.level_bound(b, side) for b in bs], 12)
+            for b, lv in zip(bs, rep.levels):
+                assert lv["h0"] - lv["h1"] == fredholm_index(L.level(b), w.m_u)
 
 
 def test_picard_dimensions():
