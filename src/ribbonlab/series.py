@@ -207,7 +207,15 @@ class Scalar:
         return Scalar(self.field, -self.value if p is None else -self.value % p)
 
     def inverse(self) -> "Scalar":
-        return self.field.one / self
+        """1 / self on the value; ±1 (1 or p - 1 over F_p) is its own inverse and returns self."""
+        v, p = self.value, self.field.p
+        if not v:
+            raise ZeroDivisionError("division by zero scalar")
+        if v == 1 or v == (-1 if p is None else p - 1):
+            return self
+        if p is not None:
+            return Scalar(self.field, pow(v, -1, p))
+        return Scalar(self.field, _rational(Fraction(v.denominator, v.numerator)))
 
     def __bool__(self):
         return self.value != 0

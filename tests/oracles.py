@@ -11,6 +11,7 @@ Nothing imports the package's sparse echelon engine or its Schur check.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 from ribbonlab.errors import RangeViolationError, WindowMismatchError
 from ribbonlab.fredholm import Verdict, WindowedSubspace
@@ -69,6 +70,12 @@ def _minus_multiple(row: dict, c, other: dict) -> dict:
     return out
 
 
+def _inverse(c):
+    """1 / c from its value, without ``Scalar.inverse`` (the method under test)."""
+    p = c.field.p
+    return c.field.scalar(Fraction(1, c.value) if p is None else pow(c.value, -1, p))
+
+
 def two_pass_echelon(rows) -> list:
     """Reduced row echelon basis by a forward pass and back-substitution.
 
@@ -86,7 +93,7 @@ def two_pass_echelon(rows) -> list:
             if k in pivots:
                 row = _minus_multiple(row, row[k], pivots[k])
             else:
-                inv = row[k].inverse()
+                inv = _inverse(row[k])
                 pivots[k] = {k2: v * inv for k2, v in row.items()}
                 break
     keys = sorted(pivots)

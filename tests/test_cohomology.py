@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import rr_h0, rr_h1
+from ribbonlab import _linalg
 from ribbonlab.cohomology import cech_line_bundle, picard_dimension, ribbon_cohomology
 from ribbonlab.errors import (RangeViolationError, TruncationBoundError,
                               UnsupportedDatumError)
@@ -28,8 +29,30 @@ def test_cech_examples():
 
 def test_cech_matches_riemann_roch_sweep():
     B = 8
-    for d in range(-6, 7):
-        assert cech_line_bundle(d, B) == (rr_h0(d), rr_h1(d))
+    # -1 is stored as 1, 6 and p - 1 in the prime fields: the -1 chart's pivots take each form
+    for fld in (QQ, Field(2), Field(7), Field(2 ** 31 - 1)):
+        for d in range(-6, 7):
+            assert cech_line_bundle(d, B, fld) == (rr_h0(d), rr_h1(d))
+
+
+def test_cech_elimination_coerces_nothing(monkeypatch):
+    """Unit columns at +1 and -1, shaped as ``cech_line_bundle``'s at d = 1, B = 8,
+    are eliminated without ``Field.scalar``: a -1 pivot is its own inverse."""
+    d, B = 1, 8
+    plus, minus = QQ.one, -QQ.one
+    columns = [{a: plus} for a in range(B + 1)] + [{d - a: minus} for a in range(B + 1)]
+    calls = []
+    scalar = Field.scalar
+
+    def counting_scalar(self, value):
+        calls.append(value)
+        return scalar(self, value)
+
+    monkeypatch.setattr(Field, "scalar", counting_scalar)
+    rank = len(_linalg.echelon(columns))
+    monkeypatch.undo()
+    assert calls == []
+    assert (len(columns) - rank, 2 * B - d + 1 - rank) == (rr_h0(d), rr_h1(d))
 
 
 def test_cech_bound_too_small():

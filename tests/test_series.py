@@ -105,6 +105,8 @@ def assert_canonical(s, expected: Fraction):
 @example(x=1, y=0, k=1)
 @example(x=Fraction(3, 2), y=1, k=1)  # product by one
 @example(x=1, y=Fraction(-5, 7), k=1)  # one times a product
+@example(x=1, y=-1, k=1)  # -1 is its own inverse
+@example(x=1, y=Fraction(-1, 3), k=1)  # integral inverse
 def test_rational_scalars_match_fraction_arithmetic(x, y, k):
     fx, fy = Fraction(x), Fraction(y)
     a, b = QQ.scalar(x), QQ.scalar(y)
@@ -123,9 +125,37 @@ def test_rational_scalars_match_fraction_arithmetic(x, y, k):
     if fy:
         assert_canonical(a / b, fx / fy)
         assert_canonical(b.inverse(), 1 / fy)
+        assert_canonical(b * b.inverse(), Fraction(1))
     else:
         with pytest.raises(ZeroDivisionError):
             a / b
+
+
+PRIME_FIELDS = [Field(2), Field(13), Field(2 ** 31 - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), field=st.sampled_from(PRIME_FIELDS))
+def test_prime_field_inverse_matches_pow(data, field):
+    p = field.p
+    x = data.draw(st.one_of(st.sampled_from([1, p - 1, -1, -p - 1]),
+                            st.integers(-10 ** 12, 10 ** 12).filter(lambda n: n % p)))
+    a = field.scalar(x)
+    inv = a.inverse()
+    assert inv.field is field and type(inv.value) is int
+    assert inv.value == pow(x, -1, p) and 0 < inv.value < p
+    assert inv == field.scalar(pow(x, -1, p))
+    assert (a * inv).value == 1 and a * inv == field.one
+
+
+@pytest.mark.parametrize("field", [QQ] + PRIME_FIELDS, ids=["Q", "F2", "F13", "F2^31-1"])
+def test_inverse_of_plus_or_minus_one_is_itself_and_zero_raises(field):
+    minus_one = field.scalar(-1)
+    assert minus_one.value == (-1 if field.p is None else field.p - 1)
+    for a in (field.one, minus_one):
+        assert a.inverse() is a
+    with pytest.raises(ZeroDivisionError, match="division by zero scalar"):
+        field.zero.inverse()
 
 
 @pytest.mark.parametrize("make", [
