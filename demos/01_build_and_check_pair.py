@@ -18,19 +18,20 @@ print(f"algebra witnesses: {len(pair.algebra.generators)}, "
       f"module witnesses: {len(pair.module.generators)}")
 
 report = check_schur_pair(pair)
-print(f"\nsubalgebra closure : {report.subalgebra}")
-print(f"module closure     : {report.module_closure}")
-print(f"per-level indices  : {report.fredholm}")
-for row in report.levels:
-    print(f"  level {row.b:+d}: index_A = {row.index_a:+d}, index_W = {row.index_w:+d}")
-print(f"products checked decisively: {report.checked}, "
-      f"deferred into margins: {report.deferred}, escaped: {report.escaped}")
-print(f"\noverall verdict: {report.verdict}")
-assert report.verdict == "pass", report.failures
+print(f"\nsubalgebra closure : {report['subalgebra']}")
+print(f"module closure     : {report['module_closure']}")
+print(f"per-level indices  : {report['fredholm']}")
+for row in report["levels"]:
+    print(f"  level {row['b']:+d}: index_A = {row['index_A']:+d}, index_W = {row['index_W']:+d}")
+tallies = report["tallies"]
+print(f"products checked decisively: {tallies['checked']}, "
+      f"deferred into margins: {tallies['deferred']}, escaped: {tallies['escaped']}")
+print(f"\noverall verdict: {report['verdict']}")
+assert report["verdict"] == "pass", report["failures"]
 
 # shrink the margins to zero and the same construction exhausts the window:
 # some witness products leave it, and honesty demands 'inconclusive'
 tight = Window2D(-4, 4, -8, 8, 0, 0)
-verdict = check_schur_pair(forward_krichever(make_datum("p2-line", twist=2), tight)).verdict
+verdict = check_schur_pair(forward_krichever(make_datum("p2-line", twist=2), tight))["verdict"]
 print(f"same pair with zero margins: {verdict}")
 assert verdict == "inconclusive", verdict

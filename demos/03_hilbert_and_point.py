@@ -18,9 +18,9 @@ for j in (1, 2):
     assert table == [(n + 1) + (n if j == 2 else 0) for n in range(7)], table
 
 point = point_ideal_check(A, n_max=6)
-print(f"\npoint-ideal colength-one jumps: {point.jumps} -> "
-      f"{'the marked point is there and reduced' if point.ok else 'FAILED'}")
-assert point.ok, point.jumps
+print(f"\npoint-ideal colength-one jumps: {point['jumps']} -> "
+      f"{'the marked point is there and reduced' if point['pass'] else 'FAILED'}")
+assert point["pass"], point["jumps"]
 
 # a level with a gap at exponent -1 breaks the colength-one pattern
 from ribbonlab.fredholm import echelonize
@@ -31,5 +31,5 @@ w = Window2D(0, 1, -8, 8, 0, 2)
 rows = [(LaurentPoly.from_dict(QQ, {a: 1}),) for a in list(range(-8, -1)) + [0]]
 gapped = LayeredSubspace(QQ, 1, w, ((0, echelonize(rows, 1, -8, 8, True)),), ())
 broken = point_ideal_check(gapped, n_max=4)
-print(f"gapped level-0 space: jumps {broken.jumps} -> pass={broken.ok}")
-assert not broken.ok, broken.jumps
+print(f"gapped level-0 space: jumps {broken['jumps']} -> pass={broken['pass']}")
+assert not broken["pass"], broken["jumps"]

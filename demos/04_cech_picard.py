@@ -27,15 +27,15 @@ g = make_datum("p2-line", twist=0)
 print("\nstacked structure sheaf of the thickenings (twist 0):")
 for depth in (2, 5):
     rep = ribbon_cohomology([g.level_bound(b, "W") for b in range(depth + 1)], B)
-    print(f"  depth {depth}: (h0,h1) = ({rep.h0},{rep.h1}) = levelwise sum of "
-          f"{[(lv['h0'], lv['h1']) for lv in rep.levels]}, agreement={rep.agreement}, "
-          f"transitions surjective={rep.transition_surjective}")
+    print(f"  depth {depth}: (h0,h1) = ({rep['h0']},{rep['h1']}) = levelwise sum of "
+          f"{[(lv['h0'], lv['h1']) for lv in rep['levels']]}, agreement={rep['agreement']}, "
+          f"transitions surjective={rep['transition_surjective']}")
 
-dims = [picard_dimension(g, i, B).dim for i in range(1, 6)]
-stack_h1 = [ribbon_cohomology([-j for j in range(1, i + 1)], B).h1
+dims = [picard_dimension(g, i, B)["dim"] for i in range(1, 6)]
+stack_h1 = [ribbon_cohomology([-j for j in range(1, i + 1)], B)["h1"]
             for i in range(1, 6)]
 print(f"\nunipotent Picard dimensions, depth 1..5: {dims}")
 print(f"h^1 of the level stacks of twists -1..-i:   {stack_h1}")
 assert dims == stack_h1, (dims, stack_h1)
-print(f"degree-quotient invariant d = {picard_dimension(g, 5, B).d} "
+print(f"degree-quotient invariant d = {picard_dimension(g, 5, B)['d']} "
       "(so the discrete quotient vanishes and the unipotent part is everything)")

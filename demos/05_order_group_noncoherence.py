@@ -17,11 +17,11 @@ from ribbonlab import (NodalCubicRing, Window2D, make_datum, noncoherent_chain,
 window = Window2D(-4, 4, -8, 8, 2, 2)
 for kind, d in (("p2-line", 1), ("even-variant", 2), ("nilpotent", 0)):
     rep = order_group(make_datum(kind), window)
-    assert rep.d == d, (kind, rep.d)
+    assert rep["d"] == d, (kind, rep["d"])
     tag = " (synthetic)" if make_datum(kind).synthetic else ""
-    wit = f", witness u^{rep.witness[0][0]} t^{rep.witness[0][1]}" if rep.witness else ""
-    lim = ", search exhausted in window" if rep.window_limited else ""
-    print(f"{kind}{tag}: d = {rep.d}{wit}{lim}")
+    wit = f", witness u^{rep['witness'][0][0]} t^{rep['witness'][0][1]}" if rep["witness"] else ""
+    lim = ", search exhausted in window" if rep["window_limited"] else ""
+    print(f"{kind}{tag}: d = {rep['d']}{wit}{lim}")
 
 ring = NodalCubicRing(degree_bound=8)
 chain = noncoherent_chain(ring, k_max=5, t_lo=-6, t_hi=1)

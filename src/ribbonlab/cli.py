@@ -130,8 +130,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_check(args) -> int:
     pair = _load_pair(args.pair)
-    report = check_schur_pair(pair)
-    obj = report.to_json()
+    obj = check_schur_pair(pair)
     obj["config"] = {"field": pair.field.tag, "window": pair.window.to_json()}
     text = json.dumps(obj, sort_keys=True, indent=2)
     if args.report:
@@ -146,7 +145,7 @@ def _cmd_check(args) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
-            "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
+            "inconclusive": EXIT_INCONCLUSIVE}[obj["verdict"]]
 
 
 def _cmd_hilbert(args) -> int:
@@ -156,11 +155,11 @@ def _cmd_hilbert(args) -> int:
     obj = {
         "j": args.j,
         "table": table,
-        "point_ideal": point.to_json(),
+        "point_ideal": point,
         "config": {"field": pair.field.tag, "window": pair.window.to_json()},
     }
     _write_json(args.out, obj)
-    return EXIT_PASS if point.ok else EXIT_FAIL
+    return EXIT_PASS if point["pass"] else EXIT_FAIL
 
 
 def _cmd_cohomology(args) -> int:
@@ -169,7 +168,7 @@ def _cmd_cohomology(args) -> int:
         raise RangeViolationError("truncation depth must be nonnegative")
     g = GeometricDatum(P2_LINE, args.twist)
     degrees = [g.level_bound(b, "W") for b in range(args.depth + 1)]
-    obj = ribbon_cohomology(degrees, args.bound, fld).to_json()
+    obj = ribbon_cohomology(degrees, args.bound, fld)
     obj["config"] = {"field": fld.tag, "bound": args.bound}
     _write_json(args.out, obj)
     return EXIT_PASS
@@ -182,12 +181,12 @@ def _cmd_picard(args) -> int:
     dims = []
     for i in range(1, args.max_i + 1):
         last = picard_dimension(GeometricDatum(P2_LINE), i, args.bound, fld)
-        dims.append(last.dim)
-    obj = {"dims": dims, "d": last.d, "levels": last.levels,
+        dims.append(last["dim"])
+    obj = {"dims": dims, "d": last["d"], "levels": last["levels"],
            "config": {"field": fld.tag, "bound": args.bound}}
     _write_json(args.out, obj)
     # the graded Picard sum is exact only when every graded h0 vanishes
-    return EXIT_PASS if last.h0_vanishing else EXIT_FAIL
+    return EXIT_PASS if last["h0_vanishing"] else EXIT_FAIL
 
 
 def _cmd_noncoherent(args) -> int:
@@ -214,7 +213,7 @@ def _cmd_order_group(args) -> int:
     window = Window2D(args.t_lo, args.t_hi, args.u_lo, args.u_hi)
     fld = Field.from_tag(args.field)
     datum = make_datum(args.example)
-    obj = order_group(datum, window, fld).to_json()
+    obj = order_group(datum, window, fld)
     obj["example"] = datum.meta()
     obj["config"] = {"field": fld.tag, "window": {
         "t_lo": window.t_lo, "t_hi": window.t_hi, "u_lo": window.u_lo, "u_hi": window.u_hi}}

@@ -7,11 +7,11 @@ g(u') -> u^d g(1/u), so the chart-2 monomial (1/u)^a lands on overlap
 exponent d - a.  All section spaces are truncated at a chart degree bound B,
 and every result states its bound, so each dimension claim stays an honest
 finite statement.  Level degrees come from ``GeometricDatum.level_bound``.
+``ribbon_cohomology`` and ``picard_dimension`` return their reports as the
+JSON-ready dicts that ``report cohomology`` and ``report picard`` write from.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import _linalg
 from .errors import RangeViolationError, TruncationBoundError, UnsupportedDatumError
@@ -38,9 +38,12 @@ def cech_line_bundle(d: int, B: int, fld: Field = QQ):
     return len(columns) - rank, 2 * B - d + 1 - rank
 
 
-@dataclass
-class RibbonCohomologyReport:
-    """Cohomology of a truncated level stack: per-level line bundles and their sums.
+def ribbon_cohomology(degrees, B: int, fld: Field = QQ) -> dict:
+    """Cohomology of a truncated level stack: one Cech complex per level, summed.
+
+    Level j is the line bundle of twist d = ``degrees[j]``; a bound below
+    |d| + 2 at any level raises ``TruncationBoundError``.  Returns the sums h0
+    and h1 (again as ``levelwise``), the per-level {d, h0, h1} and ``bound``.
 
     ``agreement`` and ``transition_surjective`` hold by construction: every
     Cech difference column is a single key (level, exponent), so the block
@@ -48,63 +51,31 @@ class RibbonCohomologyReport:
     two-chart complex has no C^2 term, so dropping the deepest level maps C^1
     onto C^1 and every H^1 transition between truncation depths is onto.
     """
-
-    h0: int
-    h1: int
-    levels: list           # dicts: d, h0, h1
-    bound: int
-    agreement = True
-    transition_surjective = True
-
-    def to_json(self) -> dict:
-        return {
-            "h0": self.h0,
-            "h1": self.h1,
-            "levels": list(self.levels),
-            "levelwise": {"h0": self.h0, "h1": self.h1},
-            "agreement": self.agreement,
-            "transition_surjective": self.transition_surjective,
-            "bound": self.bound,
-            "note": "levelwise sums; the block complex is block-diagonal by level and "
-                    "the two-chart complex has no C^2 term, so both flags hold by construction",
-        }
-
-
-def ribbon_cohomology(degrees, B: int, fld: Field = QQ) -> RibbonCohomologyReport:
-    """Cohomology of a truncated level stack: one Cech complex per level, summed.
-
-    Level j is the line bundle of twist d = ``degrees[j]``; a bound below
-    |d| + 2 at any level raises ``TruncationBoundError``.
-    """
     levels = []
     for d in degrees:
         h0, h1 = cech_line_bundle(d, B, fld)
         levels.append({"d": d, "h0": h0, "h1": h1})
-    return RibbonCohomologyReport(sum(lv["h0"] for lv in levels),
-                                  sum(lv["h1"] for lv in levels), levels, B)
+    h0, h1 = sum(lv["h0"] for lv in levels), sum(lv["h1"] for lv in levels)
+    return {"h0": h0, "h1": h1, "levels": levels, "levelwise": {"h0": h0, "h1": h1},
+            "agreement": True, "transition_surjective": True, "bound": B,
+            "note": "levelwise sums; the block complex is block-diagonal by level and "
+                    "the two-chart complex has no C^2 term, so both flags hold by construction"}
 
 
-@dataclass
-class PicardReport:
-    dim: int
-    levels: list  # dicts: j, d, h0, h1
-    d: int
-    h0_vanishing: bool
-
-
-def picard_dimension(g: GeometricDatum, depth: int, B: int, fld: Field = QQ) -> PicardReport:
+def picard_dimension(g: GeometricDatum, depth: int, B: int, fld: Field = QQ) -> dict:
     """Dimension of the unipotent Picard part of the depth-i thickening.
 
     h^1 of the level stack of graded pieces, the piece at level j = 1..i being
     the line bundle of degree ``g.level_bound(j, "A")``, -j(C.C) on the
     p2-line; the grading is exact because every piece has vanishing h^0 (the
-    stack's h^0 is 0), as the report records.  Also reports the discrete
-    invariant d = -(C.C) of the degree quotient.
+    stack's h^0 is 0), as ``h0_vanishing`` records.  Also reports the levels
+    {j, d, h0, h1} and the discrete invariant d = -(C.C) of the degree quotient.
     """
     if g.kind != P2_LINE:
         raise UnsupportedDatumError("picard dimension is computed for the p2-line datum only")
     if depth < 1:
         raise RangeViolationError("thickening depth must be a positive integer")
     rep = ribbon_cohomology([g.level_bound(j, "A") for j in range(1, depth + 1)], B, fld)
-    levels = [dict(lv, j=j) for j, lv in enumerate(rep.levels, 1)]
-    return PicardReport(rep.h1, levels, -g.selfint, rep.h0 == 0)
+    levels = [dict(lv, j=j) for j, lv in enumerate(rep["levels"], 1)]
+    return {"dim": rep["h1"], "levels": levels, "d": -g.selfint,
+            "h0_vanishing": rep["h0"] == 0}

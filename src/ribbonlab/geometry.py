@@ -151,29 +151,18 @@ def forward_krichever(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> SchurP
 
 
 def level_index_table(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> list:
-    """``LevelIndexRow`` of every visible level of A and W; margin hits become markers."""
+    """The ``level_index_rows`` dict of every visible level of A and W; margin hits are markers."""
     return list(level_index_rows(forward_krichever(g, w, fld), range(w.t_lo, w.t_hi)))
 
 
-@dataclass
-class OrderGroupReport:
-    d: int
-    witness: Union[tuple, None]      # ((a, b), (a', b')) with product 1
-    window_limited: bool
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "witness": list(map(list, self.witness)) if self.witness else None,
-                "window_limited": self.window_limited}
-
-
-def order_group(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> OrderGroupReport:
+def order_group(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> dict:
     """Nonnegative generator of the t-orders of invertible pairs found in the window.
 
     Pairs each window monomial u^a t^b (b > 0) of the algebra side with its
     partner u^-a t^-b, when that is one too, and keeps the pairs multiplying
-    to 1 under the datum's own product; the witness has the least t-order.
-    d = 0 with the window-limited caveat means only order-zero invertibles
-    were found.
+    to 1 under the datum's own product.  Returns {d, witness, window_limited}:
+    the witness [[a, b], [-a, -b]] has the least t-order, or is None; d = 0
+    with ``window_limited`` means only order-zero invertibles were found.
     """
     monomials = list(_monomials(g, "A", w))
     present = set(monomials)
@@ -181,8 +170,8 @@ def order_group(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> OrderGroupRe
              and g.product(Local2DElement.monomial(fld, a, b),
                            Local2DElement.monomial(fld, -a, -b)) == Local2DElement.one(fld)]
     d = math.gcd(*(b for _a, b in found))
-    witness = (found[0], (-found[0][0], -found[0][1])) if found else None
-    return OrderGroupReport(d, witness, window_limited=(d == 0))
+    witness = next(([[a, b], [-a, -b]] for a, b in found), None)
+    return {"d": d, "witness": witness, "window_limited": d == 0}
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ return Inconclusive instead of guessing.  The Schur check routes each witness
 product in one pass over its terms (``_route_check``: in, not-in, deferred
 into a margin, or escaped the window) and merges every outcome, Fredholm
 markers included, by one order: pass < inconclusive < fail.
+``check_schur_pair`` and ``point_ideal_check`` return their reports as the
+JSON-ready dicts that ``check`` and ``report hilbert`` write.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from . import _linalg
 from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
@@ -105,15 +107,16 @@ class LayeredSubspace:
             (json_int(entry["b"], "level b"), WindowedSubspace.from_json(entry["space"], fld))
             for entry in obj["levels"]
         )
+        generators = []
         for vec in obj["generators"]:
+            comps = []
             for c, e in enumerate(vec, 1):
                 if "component" in e and json_int(e["component"], "component") != c:
                     raise ConfigError(f"witness component {e['component']} sits at position {c}")
-        generators = tuple(
-            tuple(Local2DElement.from_json(e, fld) for e in vec)
-            for vec in obj["generators"]
-        )
-        return LayeredSubspace(fld, json_int(obj["r"], "rank r"), window, levels, generators)
+                comps.append(Local2DElement.from_json(e, fld))
+            generators.append(tuple(comps))
+        r = json_int(obj["r"], "rank r")
+        return LayeredSubspace(fld, r, window, levels, tuple(generators))
 
 
 @dataclass(frozen=True)
@@ -298,48 +301,6 @@ def _merge(outcomes) -> str:
     return max((_VERDICT_OF[o] for o in outcomes), key=_SEVERITY.index, default="pass")
 
 
-@dataclass
-class LevelIndexRow:
-    b: int
-    index_a: Union[int, None]
-    index_w: Union[int, None]
-    marker_a: Union[str, None] = None
-    marker_w: Union[str, None] = None
-
-
-@dataclass
-class SchurReport:
-    subalgebra: str
-    module_closure: str
-    fredholm: str
-    verdict: str
-    unit: str
-    levels: list
-    checked: int
-    deferred: int
-    escaped: int
-    failures: list
-    unwitnessed: list
-
-    def to_json(self) -> dict:
-        return {
-            "subalgebra": self.subalgebra,
-            "module_closure": self.module_closure,
-            "fredholm": self.fredholm,
-            "verdict": self.verdict,
-            "unit": self.unit,
-            "levels": [
-                {"b": row.b, "index_A": row.index_a, "index_W": row.index_w,
-                 "marker_A": row.marker_a, "marker_W": row.marker_w}
-                for row in self.levels
-            ],
-            "tallies": {"checked": self.checked, "deferred": self.deferred,
-                        "escaped": self.escaped},
-            "failures": list(self.failures),
-            "unwitnessed": list(self.unwitnessed),
-        }
-
-
 def _index_or_marker(level: WindowedSubspace, m_u: int):
     try:
         return fredholm_index(level, m_u), None
@@ -349,13 +310,13 @@ def _index_or_marker(level: WindowedSubspace, m_u: int):
         return None, "window-too-small"
 
 
-def level_index_rows(pair: SchurPair, bs) -> Iterator[LevelIndexRow]:
-    """Fredholm index of levels b of A and W, or the marker that replaces it."""
+def level_index_rows(pair: SchurPair, bs) -> Iterator[dict]:
+    """Rows {b, index_A, index_W, marker_A, marker_W}: each side's index, or the marker for it."""
     m_u = pair.window.m_u
     for b in bs:
         ia, ma = _index_or_marker(pair.algebra.level(b), m_u)
         iw, mw = _index_or_marker(pair.module.level(b), m_u)
-        yield LevelIndexRow(b, ia, iw, ma, mw)
+        yield {"b": b, "index_A": ia, "index_W": iw, "marker_A": ma, "marker_W": mw}
 
 
 def _unwitnessed_rows(side: str, L: LayeredSubspace) -> list:
@@ -389,8 +350,8 @@ def _unwitnessed_rows(side: str, L: LayeredSubspace) -> list:
     return out
 
 
-def check_schur_pair(pair: SchurPair) -> SchurReport:
-    """Run the three Schur-pair verdicts on a windowed pair.
+def check_schur_pair(pair: SchurPair) -> dict:
+    """Run the three Schur-pair verdicts on a windowed pair; return the check report.
 
     (1) subalgebra: 1 is in A and products of A-witness pairs never reduce to
     NotIn; (2) module closure: products of A-witnesses with W-witnesses never
@@ -401,12 +362,14 @@ def check_schur_pair(pair: SchurPair) -> SchurReport:
     (``_unwitnessed_rows``): closure went unverified there.
     Repeated products reuse an earlier routing result (see ``Router``), but
     every occurrence is tallied and every failing occurrence keeps its own
-    label, formatted from its indices only when it fails.
+    label, formatted from its indices only when it fails.  The report is the
+    dict ``check`` prints: the verdicts, ``unit`` (how 1 routed), ``levels``
+    (the ``level_index_rows``), ``tallies``, ``failures`` and ``unwitnessed``.
     """
     A, W = pair.algebra, pair.module
     w = pair.window
     failures = []
-    tallies = Counter()
+    tallies = {"checked": 0, "deferred": 0, "escaped": 0}
     outcomes = {"A": set(), "W": set()}
     route = Router(A=A, W=W)
 
@@ -439,18 +402,14 @@ def check_schur_pair(pair: SchurPair) -> SchurReport:
         unwitnessed += missing
 
     rows = list(level_index_rows(pair, range(w.t_lo + w.m_t, w.t_hi - w.m_t)))
-    markers = set()
-    for row in rows:
-        markers |= {row.marker_a, row.marker_w}
-        failures += [f"level {row.b} of {lbl} is not cocompact"
-                     for marker, lbl in ((row.marker_a, "A"), (row.marker_w, "W"))
-                     if marker == "not-cocompact"]
+    markers = {row["marker_" + side] for row in rows for side in "AW"}
+    failures += [f"level {row['b']} of {side} is not cocompact"
+                 for row in rows for side in "AW" if row["marker_" + side] == "not-cocompact"]
 
-    subalgebra, module_closure, fredholm = map(_merge, (outcomes["A"], outcomes["W"], markers))
     verdict = _merge(outcomes["A"] | outcomes["W"] | markers)
-    return SchurReport(subalgebra, module_closure, fredholm, verdict,
-                       unit_res, rows, tallies["checked"], tallies["deferred"],
-                       tallies["escaped"], failures, unwitnessed)
+    return {"subalgebra": _merge(outcomes["A"]), "module_closure": _merge(outcomes["W"]),
+            "fredholm": _merge(markers), "verdict": verdict, "unit": unit_res, "levels": rows,
+            "tallies": tallies, "failures": failures, "unwitnessed": unwitnessed}
 
 
 def hilbert_function(L: LayeredSubspace, j: int, n: int) -> int:
@@ -476,24 +435,14 @@ def hilbert_function(L: LayeredSubspace, j: int, n: int) -> int:
     return total
 
 
-@dataclass
-class PointIdealReport:
-    ok: bool
-    dims: list
-    jumps: list
-
-    def to_json(self) -> dict:
-        return {"pass": self.ok, "dims": list(self.dims), "jumps": list(self.jumps)}
-
-
-def point_ideal_check(L: LayeredSubspace, n_max: int) -> PointIdealReport:
+def point_ideal_check(L: LayeredSubspace, n_max: int) -> dict:
     """Colength-one test for the distinguished point in the degree-1 slice.
 
     Each degree-n jump dim(U_n ∩ L(0,1)) - dim(U_{n-1} ∩ L(0,1)) must be
-    exactly 1; the n = 0 dimension is unconstrained.
+    exactly 1; the n = 0 dimension is unconstrained.  Returns {pass, dims, jumps}.
     """
     if n_max < 0:
         raise RangeViolationError("n_max must be nonnegative")
     dims = [hilbert_function(L, 1, n) for n in range(n_max + 1)]
     jumps = [dims[n] - dims[n - 1] for n in range(1, n_max + 1)]
-    return PointIdealReport(all(j == 1 for j in jumps), dims, jumps)
+    return {"pass": all(j == 1 for j in jumps), "dims": dims, "jumps": jumps}

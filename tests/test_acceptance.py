@@ -47,9 +47,9 @@ def test_ac1_schur_pair_soundness(tmp_path, capsys):
 
 def test_ac2_level_fredholm_indices():
     for m in range(4):
-        table = {row.b: row for row in level_index_table(make_datum("p2-line", m), W_WIDE)}
+        table = {row["b"]: row for row in level_index_table(make_datum("p2-line", m), W_WIDE)}
         for b in range(-3, 4):
-            assert table[b].index_w == m - b + 1 == chi(m - b)
+            assert table[b]["index_W"] == m - b + 1 == chi(m - b)
     _report("AC2 level Fredholm indices match m - b + 1 for b in [-3,4): PASS")
 
 
@@ -59,7 +59,7 @@ def test_ac3_hilbert_reconstruction():
         assert hilbert_function(pair.algebra, 1, n) == n + 1
         assert hilbert_function(pair.algebra, 2, n) == (n + 1) + n
     point = point_ideal_check(pair.algebra, 6)
-    assert point.ok and point.jumps == [1] * 6
+    assert point["pass"] and point["jumps"] == [1] * 6
     _report("AC3 Hilbert reconstruction (j=1, j=2, colength-one point): PASS")
 
 
@@ -69,23 +69,23 @@ def test_ac4_cohomology():
     g = make_datum("p2-line", 0)
     for depth, want in ((2, (1, 1)), (5, (1, 10))):
         rep = ribbon_cohomology([g.level_bound(b, "W") for b in range(depth + 1)], 8)
-        assert (rep.h0, rep.h1) == want
-        assert rep.agreement and rep.transition_surjective
+        assert (rep["h0"], rep["h1"]) == want
+        assert rep["agreement"] and rep["transition_surjective"]
     _report("AC4 Cech line bundles + ribbon stacks (1,1)/(1,10): PASS")
 
 
 def test_ac5_picard():
     g = make_datum("p2-line", 0)
-    dims = [picard_dimension(g, i, 8).dim for i in range(1, 6)]
+    dims = [picard_dimension(g, i, 8)["dim"] for i in range(1, 6)]
     assert dims == [0, 1, 3, 6, 10]
-    assert picard_dimension(g, 5, 8).d == -1
+    assert picard_dimension(g, 5, 8)["d"] == -1
     _report("AC5 Picard dimensions [0,1,3,6,10] with d = -1: PASS")
 
 
 def test_ac6_order_group():
-    assert order_group(make_datum("p2-line", 0), W_AC).d == 1
-    assert order_group(make_datum("even-variant"), W_AC).d == 2
-    assert order_group(make_datum("nilpotent"), W_AC).d == 0
+    assert order_group(make_datum("p2-line", 0), W_AC)["d"] == 1
+    assert order_group(make_datum("even-variant"), W_AC)["d"] == 2
+    assert order_group(make_datum("nilpotent"), W_AC)["d"] == 0
     _report("AC6 order group d = 1 / 2 / 0 across the three regimes: PASS")
 
 

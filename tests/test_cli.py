@@ -195,6 +195,14 @@ def test_report_cohomology_negative_depth(tmp_path, capsys):
                        "--out", str(tmp_path / "c.json")) == 3
 
 
+@pytest.mark.parametrize("tag", ["Fp:9", "R"])
+def test_report_cohomology_unknown_field_exits_3(tmp_path, capsys, tag):
+    # 9 is no prime; R is no field tag at all
+    assert usage_error(capsys, "report", "cohomology", "--field", tag,
+                       "--out", str(tmp_path / "c.json")) == 3
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_report_picard_max_i_zero(tmp_path, capsys):
     assert usage_error(capsys, "report", "picard", "--max-i", "0",
                        "--out", str(tmp_path / "p.json")) == 3
@@ -435,6 +443,17 @@ def test_check_malformed_side_exits_3(tmp_path, capsys, edit):
     assert usage_error(capsys, "check", str(bad)) == 3
 
 
+def test_check_rank_two_subalgebra_exits_3(tmp_path, capsys):
+    out = tmp_path / "pair.json"
+    assert run("build", "p2-line", "--out", str(out)) == 0
+    obj = load(out)
+    set_rank(obj["A"], 2)
+    bad = tmp_path / "rank-two-A.json"
+    bad.write_text(json.dumps(obj))
+    assert run("check", str(bad)) == 3
+    assert capsys.readouterr().err == "error: the subalgebra side of a pair must have rank 1\n"
+
+
 A_LEVEL = ["A", "levels", 0, "space"]
 MISTYPED = [
     (A_GEN + [0, "terms", 0, 0], 0.5), (A_GEN + [0, "terms", 0, 0], "1"),
@@ -606,3 +625,75 @@ def test_check_names_unwitnessed_rows(tmp_path, capsys):
     assert rep["unwitnessed"] == [{"side": "A", "b": 0, "pivot": [1, 1]}]
     assert (rep["tallies"]["checked"], rep["tallies"]["deferred"]) == (1503, 47)
     assert next(row for row in rep["levels"] if row["b"] == 0)["index_A"] == 2
+
+
+WINDOW_KEYS = "t_lo t_hi u_lo u_hi"
+# the key set of every JSON object in each report, by its path; list items share
+# the path "[*]".  A report key may be added, never renamed or dropped, so a
+# change here is an addition.
+REPORT_KEYS = {
+    "check": (("check", "{bare}", "--report", "{out}"), {
+        "": "subalgebra module_closure fredholm verdict unit levels tallies failures "
+            "unwitnessed config",
+        ".levels[*]": "b index_A index_W marker_A marker_W",
+        ".tallies": "checked deferred escaped",
+        ".unwitnessed[*]": "side b pivot",
+        ".config": "field window",
+        ".config.window": WINDOW_KEYS + " m_t m_u",
+    }),
+    "hilbert": (("report", "hilbert", "--pair", "{bare}", "--j", "2", "--out", "{out}"), {
+        "": "j table point_ideal config",
+        ".point_ideal": "pass dims jumps",
+        ".config": "field window",
+        ".config.window": WINDOW_KEYS + " m_t m_u",
+    }),
+    "cohomology": (("report", "cohomology", "--out", "{out}"), {
+        "": "h0 h1 levels levelwise agreement transition_surjective bound note config",
+        ".levels[*]": "d h0 h1",
+        ".levelwise": "h0 h1",
+        ".config": "field bound",
+    }),
+    "picard": (("report", "picard", "--out", "{out}"), {
+        "": "dims d levels config",
+        ".levels[*]": "j d h0 h1",
+        ".config": "field bound",
+    }),
+    "order-group": (("report", "order-group", "--example", "p2-line", "--out", "{out}"), {
+        "": "d witness window_limited example config",
+        ".example": "kind twist selfint synthetic point u t trivialization",
+        ".config": "field window",
+        ".config.window": WINDOW_KEYS,
+    }),
+    "demo-noncoherent": (("report", "demo-noncoherent", "--out", "{out}"), {
+        "": "degree_bound dims point_ideal_dim point_ideal_sq_dim config",
+        ".config": "field window",
+        ".config.window": "t_lo t_hi",
+    }),
+}
+
+
+def key_sets(obj, path="", out=None):
+    """{path: set of key sets} over every JSON object in ``obj``."""
+    out = {} if out is None else out
+    if isinstance(obj, dict):
+        out.setdefault(path, set()).add(frozenset(obj))
+        for key, child in obj.items():
+            key_sets(child, f"{path}.{key}", out)
+    elif isinstance(obj, list):
+        for child in obj:
+            key_sets(child, f"{path}[*]", out)
+    return out
+
+
+@pytest.mark.parametrize("report", REPORT_KEYS)
+def test_report_key_sets(tmp_path, capsys, report):
+    # the check runs on a pair without witnesses, so that unwitnessed rows are listed
+    pair, bare, out = (str(tmp_path / name) for name in ("pair.json", "bare.json", "r.json"))
+    assert run("build", "p2-line", "--twist", "1", "--out", pair) == 0
+    obj = load(pair)
+    obj["A"]["generators"] = obj["W"]["generators"] = []
+    with open(bare, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    argv, keys = REPORT_KEYS[report]
+    assert run(*(arg.format(bare=bare, out=out) for arg in argv)) in (0, 2)
+    assert key_sets(load(out)) == {path: {frozenset(names.split())} for path, names in keys.items()}

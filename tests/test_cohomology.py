@@ -75,26 +75,26 @@ def test_serre_duality_symmetry():
 
 def test_ribbon_cohomology_depth_two():
     rep = ribbon_cohomology(p2_line_degrees(0, 2), 8)
-    assert (rep.h0, rep.h1) == (1, 1)
-    assert rep.agreement and rep.transition_surjective
-    assert [lv["d"] for lv in rep.levels] == [0, -1, -2]
+    assert (rep["h0"], rep["h1"]) == (1, 1)
+    assert rep["agreement"] and rep["transition_surjective"]
+    assert [lv["d"] for lv in rep["levels"]] == [0, -1, -2]
 
 
 def test_ribbon_cohomology_depth_five():
     rep = ribbon_cohomology(p2_line_degrees(0, 5), 8)
-    assert (rep.h0, rep.h1) == (1, 10)
-    assert rep.agreement and rep.transition_surjective
+    assert (rep["h0"], rep["h1"]) == (1, 10)
+    assert rep["agreement"] and rep["transition_surjective"]
 
 
 def test_ribbon_cohomology_single_level_matches_line_bundle():
     rep = ribbon_cohomology([0], 8)
-    assert (rep.h0, rep.h1) == cech_line_bundle(0, 8) == (1, 0)
+    assert (rep["h0"], rep["h1"]) == cech_line_bundle(0, 8) == (1, 0)
 
 
 def test_ribbon_cohomology_transitions_deep_stacks():
     for depth in range(1, 9):
         rep = ribbon_cohomology(p2_line_degrees(0, depth), 12)
-        assert rep.agreement and rep.transition_surjective
+        assert rep["agreement"] and rep["transition_surjective"]
 
 
 def test_ribbon_cohomology_bound_check():
@@ -111,8 +111,8 @@ def test_ribbon_cohomology_matches_riemann_roch_oracle():
                 tight = max(abs(d) for d in ds) + 2
                 for B in (tight, tight + 3):
                     rep = ribbon_cohomology(p2_line_degrees(twist, depth), B, fld)
-                    assert rep.levels == [{"d": d, "h0": rr_h0(d), "h1": rr_h1(d)} for d in ds]
-                    assert (rep.h0, rep.h1) == (sum(rr_h0(d) for d in ds),
+                    assert rep["levels"] == [{"d": d, "h0": rr_h0(d), "h1": rr_h1(d)} for d in ds]
+                    assert (rep["h0"], rep["h1"]) == (sum(rr_h0(d) for d in ds),
                                                 sum(rr_h1(d) for d in ds))
 
 
@@ -127,25 +127,25 @@ def test_cech_euler_characteristic_is_the_pair_level_index():
         pair = forward_krichever(g, w)
         for side, L in (("W", pair.module), ("A", pair.algebra)):
             rep = ribbon_cohomology([g.level_bound(b, side) for b in bs], 12)
-            for b, lv in zip(bs, rep.levels):
+            for b, lv in zip(bs, rep["levels"]):
                 assert lv["h0"] - lv["h1"] == fredholm_index(L.level(b), w.m_u)
 
 
 def test_picard_dimensions():
     g = make_datum("p2-line", 0)
-    assert picard_dimension(g, 1, 8).dim == 0
-    assert picard_dimension(g, 3, 8).dim == 3
+    assert picard_dimension(g, 1, 8)["dim"] == 0
+    assert picard_dimension(g, 3, 8)["dim"] == 3
     rep = picard_dimension(g, 5, 8)
-    assert rep.dim == 10
-    assert rep.d == -1
-    assert rep.h0_vanishing
+    assert rep["dim"] == 10
+    assert rep["d"] == -1
+    assert rep["h0_vanishing"]
 
 
 def test_picard_increments_are_per_level_cech():
     g = make_datum("p2-line", 0)
     prev = 0
     for i in range(1, 7):
-        cur = picard_dimension(g, i, 10).dim
+        cur = picard_dimension(g, i, 10)["dim"]
         assert cur - prev == rr_h1(-i) == i - 1
         prev = cur
 

@@ -42,6 +42,11 @@ def test_echelonize_empty():
     assert W.rows == ()
 
 
+def test_echelonize_empty_needs_a_field():
+    with pytest.raises(SupportViolationError, match="pass field="):
+        echelonize([], 1, -4, 4, True)
+
+
 def test_echelonize_absorbs_below_window_only_when_full():
     W = echelonize([vec(lp({-9: 1, 0: 1}))], 1, -8, 8, True)
     assert W.row_vectors() == [vec(lp({0: 1}))]
@@ -73,6 +78,12 @@ def test_membership_support_violation():
     with pytest.raises(SupportViolationError):
         membership(W, vec(lp({-7: 1})))
     assert membership(W, vec(lp({-3: 1, -1: 1}))) is Verdict.IN
+
+
+def test_membership_refuses_a_vector_of_another_rank():
+    W = monomial_space(range(-4, 1), -4, 4)
+    with pytest.raises(SupportViolationError, match="2 components, expected 1"):
+        membership(W, vec(lp({0: 1}), lp({0: 1})))
 
 
 @pytest.mark.parametrize("vector, exponent", [

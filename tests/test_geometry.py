@@ -61,48 +61,54 @@ def test_forward_rejects_window_that_hides_levels():
         forward_krichever(make_datum("p2-line", 0), Window2D(-4, 4, -1, 3, 0, 0))
 
 
+def test_forward_rejects_window_above_a_level():
+    # level 0 of A is u^{<= 0}, and this u-window starts at 2
+    with pytest.raises(ConfigError, match="level 0 lives entirely below the u-window"):
+        forward_krichever(make_datum("p2-line", 0), Window2D(-4, 4, 2, 8, 1, 1))
+
+
 def test_level_index_table_riemann_roch():
     for m in range(0, 4):
         for row in level_index_table(make_datum("p2-line", m), W_WIDE):
-            b = row.b
-            assert row.index_w == chi(m - b)
-            assert row.index_a == chi(-b)
+            b = row["b"]
+            assert row["index_W"] == chi(m - b)
+            assert row["index_A"] == chi(-b)
 
 
 def test_level_index_examples():
-    t0 = {row.b: row for row in level_index_table(make_datum("p2-line", 0), W_WIDE)}
-    assert t0[0].index_w == 1
-    assert t0[2].index_w == -1
-    t3 = {row.b: row for row in level_index_table(make_datum("p2-line", 3), W_WIDE)}
-    assert t3[1].index_w == 3
+    t0 = {row["b"]: row for row in level_index_table(make_datum("p2-line", 0), W_WIDE)}
+    assert t0[0]["index_W"] == 1
+    assert t0[2]["index_W"] == -1
+    t3 = {row["b"]: row for row in level_index_table(make_datum("p2-line", 3), W_WIDE)}
+    assert t3[1]["index_W"] == 3
 
 
 def test_level_index_marks_margin_contact():
     # at the narrow window the deepest twisted level pokes into the u-margin
     tab = level_index_table(make_datum("p2-line", 3), W_AC)
-    row = next(r for r in tab if r.b == -4)
-    assert row.index_w is None and row.marker_w == "window-too-small"
+    row = next(r for r in tab if r["b"] == -4)
+    assert row["index_W"] is None and row["marker_W"] == "window-too-small"
 
 
 def test_order_group_three_regimes():
-    assert order_group(make_datum("p2-line", 0), W_AC).d == 1
-    assert order_group(make_datum("even-variant"), W_AC).d == 2
+    assert order_group(make_datum("p2-line", 0), W_AC)["d"] == 1
+    assert order_group(make_datum("even-variant"), W_AC)["d"] == 2
     og = order_group(make_datum("nilpotent"), W_AC)
-    assert og.d == 0 and og.window_limited
+    assert og["d"] == 0 and og["window_limited"]
 
 
 def test_order_group_witnesses():
     og = order_group(make_datum("p2-line", 0), W_AC)
-    assert og.witness == ((-1, 1), (1, -1))
+    assert og["witness"] == [[-1, 1], [1, -1]]
     og2 = order_group(make_datum("even-variant"), W_AC)
-    assert og2.witness == ((-2, 2), (2, -2))
+    assert og2["witness"] == [[-2, 2], [2, -2]]
 
 
 def test_order_group_stable_under_window_growth():
     for kind in ("p2-line", "even-variant"):
         small = order_group(make_datum(kind), W_AC)
         big = order_group(make_datum(kind), Window2D(-8, 8, -16, 16, 2, 2))
-        assert small.d == big.d and not big.window_limited
+        assert small["d"] == big["d"] and not big["window_limited"]
 
 
 def test_schur_checks_pass_on_admissible_windows():
@@ -115,13 +121,13 @@ def test_schur_checks_pass_on_admissible_windows():
     for half, kind, twist in cases:
         w = Window2D(-half, half, -2 * half, 2 * half, half // 2, half // 2)
         rep = check_schur_pair(forward_krichever(make_datum(kind, twist), w))
-        assert rep.verdict == "pass", (kind, twist, half, rep.failures)
+        assert rep["verdict"] == "pass", (kind, twist, half, rep["failures"])
 
 
 def test_even_variant_fails_per_level_fredholm():
     # the synthetic even variant has zero odd slices: genuinely not a Schur pair
     rep = check_schur_pair(forward_krichever(make_datum("even-variant"), W_AC))
-    assert rep.fredholm == "fail" and rep.verdict == "fail"
+    assert rep["fredholm"] == "fail" and rep["verdict"] == "fail"
 
 
 def test_validate_ribbon_axioms_plane():
@@ -170,7 +176,7 @@ def test_validate_ribbon_axioms_matches_unrouted_scan(kind, twist, h):
     # the even variant's odd levels are zero, without a below-window tail;
     # check fails it on the Fredholm marker instead
     assert got["verdict"] == ("fail" if kind == "even-variant" else "pass")
-    assert check_schur_pair(pair).verdict == got["verdict"]
+    assert check_schur_pair(pair)["verdict"] == got["verdict"]
 
 
 def test_validate_ribbon_axioms_matches_unrouted_scan_on_broken_layers():
@@ -181,14 +187,16 @@ def test_validate_ribbon_axioms_matches_unrouted_scan_on_broken_layers():
     got = axiom_scan(g, corrupted)
     assert got["torsion_free_levels"] == {"pass": False, "bad_levels": [0]}
     # check's subalgebra is inconclusive here; its Fredholm marker fails
-    assert check_schur_pair(SchurPair(corrupted, pair.module)).verdict == got["verdict"] == "fail"
+    rep = check_schur_pair(SchurPair(corrupted, pair.module))
+    assert rep["verdict"] == got["verdict"] == "fail"
 
     injected = LayeredSubspace(QQ, 1, W_AC, layer.levels,
                                layer.generators + ((Local2DElement.monomial(QQ, 1, 0),),))
     got = axiom_scan(g, injected)
     assert got["filtered_products"] == {"pass": False, "checked": 476, "vanished": 0,
                                         "deferred": 15, "escaped": 0}
-    assert check_schur_pair(SchurPair(injected, pair.module)).verdict == got["verdict"] == "fail"
+    rep = check_schur_pair(SchurPair(injected, pair.module))
+    assert rep["verdict"] == got["verdict"] == "fail"
 
 
 @pytest.mark.parametrize("h", [4, 6, 8])
@@ -264,6 +272,13 @@ def test_noncoherent_chain_degree_too_small():
         noncoherent_chain(NodalCubicRing(1), 2, -4, 1)
     with pytest.raises(DegreeBoundError):
         noncoherent_chain(NodalCubicRing(2), 2, -4, 1)
+
+
+def test_nodal_cubic_refuses_a_bound_or_chain_below_one():
+    with pytest.raises(DegreeBoundError, match="degree bound must be at least 1"):
+        NodalCubicRing(0)
+    with pytest.raises(DegreeBoundError, match="k_max must be positive"):
+        noncoherent_chain(NodalCubicRing(6), 0, -4, 1)
 
 
 def test_noncoherent_chain_window_too_small():

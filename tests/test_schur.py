@@ -58,11 +58,16 @@ def test_layered_membership_support_violation(p2_pair):
         layered_membership(p2_pair.algebra, mono(0, -5))
 
 
+def test_layered_membership_refuses_a_vector_of_another_rank(p2_pair):
+    with pytest.raises(SupportViolationError, match="2 components, expected 1"):
+        layered_membership(p2_pair.algebra, (mono(0, 0), mono(0, 0)))
+
+
 def test_check_passes_on_plane_pair(p2_pair):
     rep = check_schur_pair(p2_pair)
-    assert rep.verdict == "pass"
-    assert rep.escaped == 0
-    by_b = {row.b: row.index_a for row in rep.levels}
+    assert rep["verdict"] == "pass"
+    assert rep["tallies"]["escaped"] == 0
+    by_b = {row["b"]: row["index_A"] for row in rep["levels"]}
     for b, idx in by_b.items():
         assert idx == 1 - b  # chi of the twist -b piece on the line
 
@@ -71,15 +76,15 @@ def test_check_fails_with_injected_generator(p2_pair):
     obj = p2_pair.to_json()
     obj["A"]["generators"].append([mono(1, 0).to_json(component=1)])
     rep = check_schur_pair(SchurPair.from_json(obj))
-    assert rep.subalgebra == "fail"
-    assert rep.verdict == "fail"
+    assert rep["subalgebra"] == "fail"
+    assert rep["verdict"] == "fail"
 
 
 def test_check_inconclusive_when_products_escape_window():
     w = Window2D(-2, 2, -4, 4, 0, 0)
     rep = check_schur_pair(forward_krichever(make_datum("p2-line", 0), w))
-    assert rep.verdict == "inconclusive"
-    assert rep.escaped > 0
+    assert rep["verdict"] == "inconclusive"
+    assert rep["tallies"]["escaped"] > 0
 
 
 def test_graded_slice_single_level(p2_pair):
@@ -194,9 +199,9 @@ def test_hilbert_window_errors(p2_pair):
 
 def test_point_ideal_passes_on_plane_pair(p2_pair):
     rep = point_ideal_check(p2_pair.algebra, 6)
-    assert rep.ok
-    assert rep.dims == [n + 1 for n in range(7)]
-    assert rep.jumps == [1] * 6
+    assert rep["pass"]
+    assert rep["dims"] == [n + 1 for n in range(7)]
+    assert rep["jumps"] == [1] * 6
 
 
 def test_point_ideal_gap_fails():
@@ -206,15 +211,15 @@ def test_point_ideal_gap_fails():
         1, -8, 8, True, field=QQ)
     L = LayeredSubspace(QQ, 1, w, ((0, gap_level),), ())
     rep = point_ideal_check(L, 4)
-    assert not rep.ok
+    assert not rep["pass"]
     # dimension oracle: counts of {a : -n <= a <= 0, a != -1}
-    assert rep.dims == [1, 1, 2, 3, 4]
-    assert rep.jumps == [0, 1, 1, 1]
+    assert rep["dims"] == [1, 1, 2, 3, 4]
+    assert rep["jumps"] == [0, 1, 1, 1]
 
 
 def test_point_ideal_n_zero_boundary(p2_pair):
     rep = point_ideal_check(p2_pair.algebra, 0)
-    assert rep.ok and rep.dims == [1] and rep.jumps == []
+    assert rep["pass"] and rep["dims"] == [1] and rep["jumps"] == []
 
 
 def test_pair_equal_reflexive_and_canonical(p2_pair):
@@ -304,10 +309,10 @@ def test_prime_field_pipeline():
     f7 = Field(7)
     pair = forward_krichever(make_datum("p2-line", 1), W_AC, f7)
     rep = check_schur_pair(pair)
-    assert rep.verdict == "pass"
-    assert {row.b: row.index_w for row in rep.levels} == {b: 2 - b for b in range(-2, 2)}
+    assert rep["verdict"] == "pass"
+    assert {row["b"]: row["index_W"] for row in rep["levels"]} == {b: 2 - b for b in range(-2, 2)}
     assert [hilbert_function(pair.algebra, 1, n) for n in range(5)] == [1, 2, 3, 4, 5]
-    assert point_ideal_check(pair.algebra, 5).ok
+    assert point_ideal_check(pair.algebra, 5)["pass"]
 
 
 def unmemoised_check(pair):
@@ -339,7 +344,7 @@ def unmemoised_check(pair):
 @pytest.mark.parametrize("twist", [0, 2])
 def test_check_matches_unmemoised_reference_on_monomial_pair(twist):
     pair = forward_krichever(make_datum("p2-line", twist), W_AC)
-    got = check_schur_pair(pair).to_json()
+    got = check_schur_pair(pair)
     want = unmemoised_check(pair)
     assert {k: got[k] for k in want} == want
     assert got["verdict"] == "pass"
@@ -357,7 +362,7 @@ def test_check_matches_unmemoised_reference_on_repeated_failures():
     pair = SchurPair.from_json(obj)
     assert _route_check(pair.algebra, scalar_times_vector(bad, (bad,))) == "not-in"
     assert _route_check(pair.module, (bad,)) == "in"
-    got = check_schur_pair(pair).to_json()
+    got = check_schur_pair(pair)
     want = unmemoised_check(pair)
     assert {k: got[k] for k in want} == want
     bad_ix = range(first, first + 3)
@@ -381,7 +386,7 @@ def test_check_matches_unmemoised_reference_on_failing_module_products():
     leaving = [i for i, g in enumerate(pair.algebra.generators)
                if _route_check(pair.module, scalar_times_vector(g[0], (bad,))) == "not-in"]
     assert len(leaving) == 4
-    got = check_schur_pair(pair).to_json()
+    got = check_schur_pair(pair)
     want = unmemoised_check(pair)
     assert {k: got[k] for k in want} == want
     for j in (first, first + 1):
@@ -433,12 +438,13 @@ def test_check_fredholm_part_inconclusive_then_fail(p2_pair):
     level = {e["b"]: e["space"] for e in obj["A"]["levels"]}
     level[0]["rows"].append([LaurentPoly.monomial(QQ, 7).to_json()])
     rep = check_schur_pair(SchurPair.from_json(obj))
-    assert (rep.subalgebra, rep.fredholm, rep.verdict) == ("pass", "inconclusive", "inconclusive")
-    assert rep.failures == []
+    assert (rep["subalgebra"], rep["fredholm"], rep["verdict"]) == (
+        "pass", "inconclusive", "inconclusive")
+    assert rep["failures"] == []
     level[1]["full_below"] = False
     rep = check_schur_pair(SchurPair.from_json(obj))
-    assert (rep.fredholm, rep.verdict) == ("fail", "fail")
-    assert "level 1 of A is not cocompact" in rep.failures
+    assert (rep["fredholm"], rep["verdict"]) == ("fail", "fail")
+    assert "level 1 of A is not cocompact" in rep["failures"]
 
 
 def two_pass_route(L, vec):
@@ -674,14 +680,14 @@ def test_unwitnessed_rows_make_check_inconclusive():
     # product can see it, so closure goes unverified on exactly that row
     pair = forward_krichever(make_datum("p2-line", 1), SPAN_WINDOW)
     rep = check_schur_pair(pair)
-    assert rep.verdict == "pass" and rep.unwitnessed == [] and dense_closure(pair)
+    assert rep["verdict"] == "pass" and rep["unwitnessed"] == [] and dense_closure(pair)
     bad = SchurPair(with_level_row(pair.algebra, 0, LaurentPoly.monomial(QQ, 1)), pair.module)
     rep = check_schur_pair(bad)
     assert not dense_closure(bad)
-    assert (rep.verdict, rep.subalgebra, rep.module_closure) == (
+    assert (rep["verdict"], rep["subalgebra"], rep["module_closure"]) == (
         "inconclusive", "inconclusive", "pass")
-    assert rep.unwitnessed == [{"side": "A", "b": 0, "pivot": [1, 1]}]
-    assert rep.failures == []
+    assert rep["unwitnessed"] == [{"side": "A", "b": 0, "pivot": [1, 1]}]
+    assert rep["failures"] == []
 
 
 def test_witness_free_pair_names_every_trusted_row():
@@ -689,8 +695,8 @@ def test_witness_free_pair_names_every_trusted_row():
     bare = SchurPair(*(LayeredSubspace(L.field, L.r, L.window, L.levels, ())
                        for L in (pair.algebra, pair.module)))
     rep = check_schur_pair(bare)
-    assert rep.verdict == "inconclusive" and rep.checked == 1
-    named = Counter(entry["side"] for entry in rep.unwitnessed)
+    assert rep["verdict"] == "inconclusive" and rep["tallies"]["checked"] == 1
+    named = Counter(entry["side"] for entry in rep["unwitnessed"])
     assert named == {"A": 30, "W": 34}
 
 
@@ -728,6 +734,6 @@ def mutated_pair(draw):
 @given(mutated_pair())
 def test_check_passes_only_pairs_the_dense_closure_oracle_passes(pair):
     rep = check_schur_pair(pair)
-    event(f"{rep.verdict}, unwitnessed rows: {bool(rep.unwitnessed)}")
-    if rep.verdict == "pass":
+    event(f"{rep['verdict']}, unwitnessed rows: {bool(rep['unwitnessed'])}")
+    if rep["verdict"] == "pass":
         assert dense_closure(pair)

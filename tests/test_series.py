@@ -22,6 +22,13 @@ def test_prime_field_validation():
     assert Field(2).scalar(3).value == 1
 
 
+@pytest.mark.parametrize("p", [9, 15, 46337 ** 2])
+def test_prime_field_rejects_odd_composites(p):
+    # each passes the parity test and falls to a divisor; 46337^2 < 2^31
+    with pytest.raises(ConfigError, match=f"got {p}"):
+        Field(p)
+
+
 def test_field_from_tag_is_cached():
     big = Field.from_tag("Fp:2147483647")
     assert Field.from_tag("Fp:2147483647") is big
@@ -177,6 +184,11 @@ def test_product_by_one_returns_the_other_factor():
     for got in (one * c, c * one, c * 1, 1 * c):
         assert got is c and got.value == 2 ** 31 - 4
     assert one * one == one and f.scalar(5) * f.scalar(2) == f.scalar(10)
+
+
+def test_scalar_of_another_field_is_not_coerced():
+    with pytest.raises(FieldMismatchError, match="Fp:7 vs Q"):
+        QQ.scalar(F7.scalar(3))
 
 
 def test_product_by_one_still_checks_the_field():
