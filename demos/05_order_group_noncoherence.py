@@ -23,11 +23,11 @@ for kind, d in (("p2-line", 1), ("even-variant", 2), ("nilpotent", 0)):
     lim = ", search exhausted in window" if rep["window_limited"] else ""
     print(f"{kind}{tag}: d = {rep['d']}{wit}{lim}")
 
-ring = NodalCubicRing(degree_bound=8)
-chain = noncoherent_chain(ring, k_max=5, t_lo=-6, t_hi=1)
-print(f"\nnodal cubic, degree bound 8: dim(point ideal) = {ring.point_ideal_dim()}, "
-      f"dim(its square) = {ring.point_ideal_sq_dim()}")
+rep = noncoherent_chain(NodalCubicRing(degree_bound=8), k_max=5, t_lo=-6, t_hi=1)
+chain = rep["dims"]
+print(f"\nnodal cubic, degree bound {rep['degree_bound']}: "
+      f"dim(point ideal) = {rep['point_ideal_dim']}, dim(its square) = {rep['point_ideal_sq_dim']}")
 print(f"truncated chain J_1 .. J_5 dimensions: {chain}")
-gap = ring.point_ideal_dim() - ring.point_ideal_sq_dim()
+gap = rep["point_ideal_dim"] - rep["point_ideal_sq_dim"]
 assert [b - a for a, b in zip(chain, chain[1:])] == [gap] * 4 and gap > 0, chain
 print("constant step = ideal gap, so the ascending chain never stabilizes")

@@ -150,11 +150,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     pair = _load_pair(args.pair)
-    table = [hilbert_function(pair.algebra, args.j, n) for n in range(args.max_n + 1)]
+    # the point-ideal dims are the j = 1 table; any other j computes its table
+    # first, so a bad --j is reported before a bad --max-n or window
+    table = None
+    if args.j != 1:
+        table = [hilbert_function(pair.algebra, args.j, n) for n in range(args.max_n + 1)]
     point = point_ideal_check(pair.algebra, args.max_n)
     obj = {
         "j": args.j,
-        "table": table,
+        "table": point["dims"] if table is None else table,
         "point_ideal": point,
         "config": {"field": pair.field.tag, "window": pair.window.to_json()},
     }
@@ -196,15 +200,8 @@ def _cmd_noncoherent(args) -> int:
     fld = Field.from_tag(args.field)
     # widen a bound that falls short of the levels the chain needs; keep one that covers them
     t_lo, t_hi = min(t_lo, -args.max_k - 1), max(t_hi, 1)
-    ring = NodalCubicRing(args.degree_bound, fld)
-    dims = noncoherent_chain(ring, args.max_k, t_lo, t_hi)
-    obj = {
-        "degree_bound": args.degree_bound,
-        "dims": dims,
-        "point_ideal_dim": ring.point_ideal_dim(),
-        "point_ideal_sq_dim": ring.point_ideal_sq_dim(),
-        "config": {"field": fld.tag, "window": {"t_lo": t_lo, "t_hi": t_hi}},
-    }
+    obj = noncoherent_chain(NodalCubicRing(args.degree_bound, fld), args.max_k, t_lo, t_hi)
+    obj["config"] = {"field": fld.tag, "window": {"t_lo": t_lo, "t_hi": t_hi}}
     _write_json(args.out, obj)
     return EXIT_PASS
 

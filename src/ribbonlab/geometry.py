@@ -193,12 +193,12 @@ class NodalCubicRing:
         if self.degree_bound < 1:
             raise DegreeBoundError("degree bound must be at least 1")
 
-    def basis(self, max_deg: Union[int, None] = None):
-        d = self.degree_bound if max_deg is None else max_deg
+    def basis(self, max_deg: int):
+        """Normal-form monomials x^a and x^a y of degree at most ``max_deg``."""
         out = []
-        for a in range(d + 1):
+        for a in range(max_deg + 1):
             out.append((a, 0))
-            if a + 1 <= d:
+            if a + 1 <= max_deg:
                 out.append((a, 1))
         return out
 
@@ -210,18 +210,6 @@ class NodalCubicRing:
             return {(a, eps): one}
         return {(a + 3, 0): one, (a + 2, 0): one}
 
-    def nf_mul(self, p: dict, q: dict) -> dict:
-        out: dict = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                for m, c in self.mono_mul(m1, m2).items():
-                    v = out.get(m, self.field.zero) + c1 * c2 * c
-                    if v:
-                        out[m] = v
-                    else:
-                        out.pop(m, None)
-        return out
-
     def _ideal_window_dim(self, gen_monomials: Sequence[tuple]) -> int:
         """dim of (ideal generated by the monomials) ∩ {normal forms of degree <= D}.
 
@@ -230,11 +218,7 @@ class NodalCubicRing:
         rank of the projection onto the excess-degree coordinates.
         """
         d = self.degree_bound
-        one = self.field.one
-        span = []
-        for gen in gen_monomials:
-            for m in self.basis(d + 1):
-                span.append(self.nf_mul({gen: one}, {m: one}))
+        span = [self.mono_mul(gen, m) for gen in gen_monomials for m in self.basis(d + 1)]
         total = _linalg.rank(span)
         high = _linalg.rank([{m: c for m, c in row.items() if m[0] + m[1] > d}
                              for row in span])
@@ -248,13 +232,14 @@ class NodalCubicRing:
         return self._ideal_window_dim([(2, 0), (1, 1), (0, 2)])
 
 
-def noncoherent_chain(ring: NodalCubicRing, k_max: int, t_lo: int, t_hi: int):
+def noncoherent_chain(ring: NodalCubicRing, k_max: int, t_lo: int, t_hi: int) -> dict:
     """Dimensions of the truncated ideals J_1 ⊂ J_2 ⊂ ... on the nodal cubic.
 
     Counted over the t-levels t_lo..t_hi - 1, which must include -k_max - 1
     and 0.  J_k takes coefficients in J_Q everywhere and in J_Q^2 below t-order -k;
     at a fixed degree bound the chain grows by dim(J_Q/J_Q^2) per step and
-    never stabilizes.
+    never stabilizes.  Returns {degree_bound, dims, point_ideal_dim,
+    point_ideal_sq_dim}, the report ``demo-noncoherent`` writes.
     """
     if ring.degree_bound < 3:
         raise DegreeBoundError(
@@ -271,4 +256,5 @@ def noncoherent_chain(ring: NodalCubicRing, k_max: int, t_lo: int, t_hi: int):
         below = sum(1 for i in range(t_lo, t_hi) if i < -k)
         above = (t_hi - t_lo) - below
         dims.append(below * j2d + above * jd)
-    return dims
+    return {"degree_bound": ring.degree_bound, "dims": dims,
+            "point_ideal_dim": jd, "point_ideal_sq_dim": j2d}

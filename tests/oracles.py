@@ -146,6 +146,25 @@ def nilpotent_product(x: Local2DElement, y: Local2DElement) -> Local2DElement:
     return Local2DElement.from_dict(x.field, d)
 
 
+def nodal_nf_mul(ring, p: dict, q: dict) -> dict:
+    """Normal form of p * q in a ``NodalCubicRing``, term pair by term pair.
+
+    p and q map basis monomials (a, eps) to nonzero scalars; each term-pair
+    product comes from ``ring.mono_mul`` and coefficients that cancel are
+    dropped, so the result is again a normal form.
+    """
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            for m, c in ring.mono_mul(m1, m2).items():
+                v = out.get(m, ring.field.zero) + c1 * c2 * c
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+    return out
+
+
 def t_slice_reference(x: Local2DElement, b: int) -> LaurentPoly:
     """The t^b coefficient of x, gathered into a dict and rebuilt by ``from_dict``."""
     return LaurentPoly.from_dict(x.field, {a: c.value for (a, bb), c in x.terms if bb == b})

@@ -90,7 +90,7 @@ def test_ac6_order_group():
 
 
 def test_ac7_non_noetherian_demo():
-    dims = noncoherent_chain(NodalCubicRing(8), 5, -6, 1)
+    dims = noncoherent_chain(NodalCubicRing(8), 5, -6, 1)["dims"]
     assert len(dims) == 5
     steps = [b - a for a, b in zip(dims, dims[1:])]
     assert all(s == steps[0] and s > 0 for s in steps)

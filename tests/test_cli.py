@@ -134,6 +134,27 @@ def test_report_hilbert(pair_path, tmp_path):
     assert "window" in obj["config"]
 
 
+def test_report_hilbert_j1_computes_each_dim_once(pair_path, tmp_path, monkeypatch):
+    # the j = 1 table is the point ideal's dims; count lookups through cli and schur
+    import ribbonlab.cli as cli
+    import ribbonlab.schur as schur
+
+    calls = []
+    real = schur.hilbert_function
+
+    def hilbert_function(L, j, n):
+        calls.append((j, n))
+        return real(L, j, n)
+
+    for owner in (cli, schur):
+        monkeypatch.setattr(owner, "hilbert_function", hilbert_function)
+    out = tmp_path / "h.json"
+    assert run("report", "hilbert", "--pair", str(pair_path), "--j", "1",
+               "--max-n", "6", "--out", str(out)) == 0
+    assert sorted(calls) == [(1, n) for n in range(7)]
+    assert load(out)["table"] == load(out)["point_ideal"]["dims"] == list(range(1, 8))
+
+
 def test_report_hilbert_point_ideal_failure_exits_1(pair_path, tmp_path):
     obj = load(pair_path)
     level0 = next(e for e in obj["A"]["levels"] if e["b"] == 0)["space"]
@@ -217,6 +238,27 @@ def test_report_noncoherent(tmp_path):
     assert dims == sorted(dims) and len(set(dims)) == 3
 
 
+def test_report_noncoherent_ranks_each_ideal_once(tmp_path, monkeypatch):
+    # J_Q and J_Q^2 are ranked once each, at two ranks apiece: total and excess degree
+    import ribbonlab._linalg as _linalg
+
+    windows, ranks = [], []
+    real_window, real_rank = NodalCubicRing._ideal_window_dim, _linalg.rank
+
+    def window_dim(ring, gens):
+        windows.append(gens)
+        return real_window(ring, gens)
+
+    def rank(rows):
+        ranks.append(rows)
+        return real_rank(rows)
+
+    monkeypatch.setattr(NodalCubicRing, "_ideal_window_dim", window_dim)
+    monkeypatch.setattr(_linalg, "rank", rank)
+    assert run("report", "demo-noncoherent", "--out", str(tmp_path / "n.json")) == 0
+    assert (len(windows), len(ranks)) == (2, 4)
+
+
 def test_report_noncoherent_widens_only_the_short_bound(tmp_path):
     # t_lo -8 already covers -max_k - 1 = -4; only t_hi -2 falls short of 1
     out = tmp_path / "n.json"
@@ -224,7 +266,7 @@ def test_report_noncoherent_widens_only_the_short_bound(tmp_path):
                "--t-lo", "-8", "--t-hi", "-2", "--out", str(out)) == 0
     rep = load(out)
     assert rep["config"]["window"] == {"t_lo": -8, "t_hi": 1}
-    assert rep["dims"] == noncoherent_chain(NodalCubicRing(6), 3, -8, 1)
+    assert rep["dims"] == noncoherent_chain(NodalCubicRing(6), 3, -8, 1)["dims"]
 
 
 @pytest.mark.parametrize("command", [("order-group", "--example", "p2-line"),

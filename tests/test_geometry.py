@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fixtures import contains_monomial, random_local2d
-from oracles import axiom_scan, chi, nilpotent_product, section_monomial_allowed
+from oracles import (axiom_scan, chi, nilpotent_product, nodal_nf_mul,
+                     section_monomial_allowed)
 from ribbonlab.errors import (ConfigError, DegreeBoundError,
                               UnsupportedDatumError, WindowTooSmallError)
 from ribbonlab.fredholm import Verdict, echelonize
@@ -54,6 +55,11 @@ def test_forward_level_one_slice():
 def test_forward_rejects_affine_datum():
     with pytest.raises(UnsupportedDatumError):
         forward_krichever(make_datum("nodal-cubic"), W_AC)
+
+
+def test_order_group_rejects_affine_datum():
+    with pytest.raises(UnsupportedDatumError, match="nodal-cubic has no section levels"):
+        order_group(make_datum("nodal-cubic"), W_AC)
 
 
 def test_forward_rejects_window_that_hides_levels():
@@ -238,8 +244,8 @@ def test_nodal_ring_confluence_on_basis():
     for m1 in ring.basis(3):
         for m2 in ring.basis(3):
             for m3 in ring.basis(3):
-                left = ring.nf_mul(ring.nf_mul({m1: one}, {m2: one}), {m3: one})
-                right = ring.nf_mul({m1: one}, ring.nf_mul({m2: one}, {m3: one}))
+                left = nodal_nf_mul(ring, nodal_nf_mul(ring, {m1: one}, {m2: one}), {m3: one})
+                right = nodal_nf_mul(ring, {m1: one}, nodal_nf_mul(ring, {m2: one}, {m3: one}))
                 assert left == right
 
 
@@ -254,13 +260,13 @@ def test_nodal_ideal_dims():
 
 def test_noncoherent_chain_step_is_ideal_gap():
     ring = NodalCubicRing(6)
-    dims = noncoherent_chain(ring, 2, -4, 1)
+    dims = noncoherent_chain(ring, 2, -4, 1)["dims"]
     assert dims[1] - dims[0] == ring.point_ideal_dim() - ring.point_ideal_sq_dim()
     assert dims[1] - dims[0] > 0
 
 
 def test_noncoherent_chain_strictly_increasing_triple():
-    dims = noncoherent_chain(NodalCubicRing(6), 3, -4, 1)
+    dims = noncoherent_chain(NodalCubicRing(6), 3, -4, 1)["dims"]
     assert len(dims) == 3
     assert dims[0] < dims[1] < dims[2]
     steps = {b - a for a, b in zip(dims, dims[1:])}

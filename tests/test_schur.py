@@ -61,6 +61,11 @@ def test_layered_membership_support_violation(p2_pair):
 def test_layered_membership_refuses_a_vector_of_another_rank(p2_pair):
     with pytest.raises(SupportViolationError, match="2 components, expected 1"):
         layered_membership(p2_pair.algebra, (mono(0, 0), mono(0, 0)))
+    w = p2_pair.window
+    zero = echelonize([], 2, w.u_lo, w.u_hi, False, field=QQ)
+    rank_two = LayeredSubspace(QQ, 2, w, tuple((b, zero) for b in range(w.t_lo, w.t_hi)))
+    with pytest.raises(SupportViolationError, match="bare element given where a rank-2"):
+        layered_membership(rank_two, mono(0, 0))
 
 
 def test_check_passes_on_plane_pair(p2_pair):
@@ -195,6 +200,8 @@ def test_hilbert_window_errors(p2_pair):
         hilbert_function(p2_pair.algebra, 5, 0)  # t_hi = 4
     with pytest.raises(RangeViolationError):
         hilbert_function(p2_pair.algebra, 0, 1)
+    with pytest.raises(RangeViolationError, match="n must be nonnegative"):
+        hilbert_function(p2_pair.algebra, 1, -1)
 
 
 def test_point_ideal_passes_on_plane_pair(p2_pair):
@@ -245,6 +252,16 @@ def test_pair_equal_window_mismatch(p2_pair):
     other = forward_krichever(make_datum("p2-line", 0), Window2D(-4, 4, -8, 8, 1, 1))
     with pytest.raises(WindowMismatchError):
         pair_equal_in_window(p2_pair, other)
+
+
+@pytest.mark.parametrize("window,field,match", [
+    (Window2D(-4, 4, -8, 8, 1, 1), QQ, "different windows"),
+    (W_AC, Field(7), "different fields"),
+], ids=["window", "field"])
+def test_pair_refuses_sides_that_do_not_match(p2_pair, window, field, match):
+    other = forward_krichever(make_datum("p2-line", 0), window, field)
+    with pytest.raises(WindowMismatchError, match=match):
+        SchurPair(p2_pair.algebra, other.module)
 
 
 def test_layered_requires_every_level():
