@@ -2,16 +2,17 @@
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive (a truncation shortfall surfaced,
 or closure went unverified on level rows the witnesses do not span), 3 usage
-or malformed input.  The split lets CI tell a genuine mathematical failure
-apart from a window that was simply too small.  Each command takes only the
-field, window bounds and truncation bound its computation reads, and every
-report embeds exactly those values as its "config", so any claim is
-reproducible from the report alone.
+or malformed input, so CI can tell a mathematical failure from a window that
+was too small.  Each command takes only the field, window and bound it reads,
+and every report embeds exactly those values as its "config", so any claim is
+reproducible from the report alone.  A process builds one parser, on its first
+``main`` call; later calls reuse it, so callers must treat it as read-only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,7 +70,9 @@ def _load_pair(path: str) -> SchurPair:
             raise ConfigError(f"malformed pair file {path}: {type(exc).__name__}: {exc}") from None
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first ``main`` call; treat it as read-only."""
     top = argparse.ArgumentParser(prog="ribbonlab")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -360,6 +360,51 @@ def test_exit_codes_deterministic(pair_path, capsys):
     assert run("check", str(pair_path)) == run("check", str(pair_path))
 
 
+def test_later_calls_build_no_parser(pair_path, tmp_path, monkeypatch, capsys):
+    # pair_path's build call is the warm-up; each command then runs once
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    pair, out = str(pair_path), str(tmp_path / "out.json")
+    for argv in (("build", "p2-line", "--out", str(tmp_path / "p.json")), ("check", pair),
+                 ("report", "hilbert", "--pair", pair, "--out", out),
+                 ("report", "cohomology", "--out", out), ("report", "picard", "--out", out),
+                 ("report", "demo-noncoherent", "--out", out),
+                 ("report", "order-group", "--example", "p2-line", "--out", out)):
+        assert run(*argv) == 0
+    assert built == []
+
+
+def test_calls_in_one_process_stay_independent(tmp_path, capsys):
+    out, pair = tmp_path / "out.json", tmp_path / "pair.json"
+    assert run("report", "picard", "--max-i", "3", "--bound", "10", "--out", str(out)) == 0
+    assert run("report", "picard", "--out", str(out)) == 0
+    rep = load(out)
+    assert len(rep["dims"]) == 5 and rep["config"]["bound"] == 8
+    # a usage error leaves nothing behind for the next call
+    assert run("report", "cohomology", "--depth", "x", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ribbonlab report cohomology ")
+    assert err.endswith("ribbonlab report cohomology: error: argument --depth: "
+                        "invalid int value: 'x'\n")
+    assert run("report", "cohomology", "--out", str(out)) == 0
+    assert run("--help") == 0
+    assert capsys.readouterr().out.startswith("usage: ribbonlab [-h] {build,check,report}")
+    assert run("report", "picard", "--help") == 0
+    assert capsys.readouterr().out.startswith("usage: ribbonlab report picard [-h]")
+    assert run("build", "p2-line", "--twist", "1", "--out", str(pair)) == 0
+    assert run("check", str(pair)) == 0
+    fresh = subprocess.run([sys.executable, "-m", "ribbonlab.cli", "check", str(pair)],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout
+
+
 def test_roundtrip_all_projective_kinds(tmp_path):
     for kind in ("p2-line", "even-variant", "nilpotent"):
         out = tmp_path / f"{kind}.json"
