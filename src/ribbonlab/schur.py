@@ -4,8 +4,9 @@ A LayeredSubspace models a subspace L of k((u))((t))^r inside a rectangular
 window as the direct sum of t^b * levels[b], one WindowedSubspace per t-level
 b, plus a finite list of generator vectors kept as closure witnesses.  Levels
 are authoritative.  A witness is checked against L by the same rule that the
-Schur check applies to products, ``layered_membership``, and the Schur check
-certifies closure only where the witnesses span the levels' trusted rows.
+Schur check applies to products, ``layered_membership``, which reads each
+t-slice straight from the terms.  The Schur check certifies closure only
+where ``membership`` puts each trusted level row in the witnesses' span.
 
 Membership is three-valued.  Truncation must distinguish "provably outside"
 from "escaped the window", so reductions that reach the distrusted top margin
@@ -27,7 +28,8 @@ from . import _linalg
 from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
                      RangeViolationError, SupportViolationError,
                      WindowMismatchError, WindowTooSmallError)
-from .fredholm import Verdict, WindowedSubspace, check_top_margin, fredholm_index, membership
+from .fredholm import (Verdict, WindowedSubspace, check_top_margin, echelonize, fredholm_index,
+                       membership)
 from .local2d import Local2DElement, Window2D, ord_t_vector
 from .series import Field, LaurentPoly, json_int
 
@@ -177,8 +179,11 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
 
     Components are canonical (see ``Local2DElement``), so with b the least
     t-order, the t^b slice of a component is the leading block of its terms.
-    The slice and its lift t^b * slice are built from that block as they
-    are, with no coefficient coerced again.  The lift is the remainder's own
+    The scan for the block's end collects the slice as a row {(a, component):
+    coefficient} and reduces it with ``_linalg.reduce_vector`` against the
+    level's ``pivot_rows``, as ``fredholm.membership`` would, but with no
+    slice polynomial and no second window check: every term passed the
+    window check on entry.  The lift t^b * slice is the remainder's own
     leading block, so subtracting it drops that block without arithmetic
     (see ``Local2DElement._merge``).
     """
@@ -201,18 +206,17 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
         b = min(lead)
         if b >= t_top:
             return Verdict.INCONCLUSIVE
-        blocks, slices = [], []
-        for comp in rem:
+        blocks, row = [], {}
+        for c, comp in enumerate(rem):
             terms = comp.terms
             n = 0
-            for (_a, bb), _c in terms:
+            for (a, bb), coeff in terms:
                 if bb != b:
                     break
+                row[(a, c)] = coeff
                 n += 1
-            block = terms[:n]
-            blocks.append(block)
-            slices.append(LaurentPoly(fld, tuple([(a, c) for (a, _b), c in block])))
-        if membership(L.level(b), tuple(slices)) is Verdict.NOT_IN:
+            blocks.append(terms[:n])
+        if _linalg.reduce_vector(row, L.level(b).pivot_rows):
             return Verdict.NOT_IN
         rem = [comp - Local2DElement(fld, block) for comp, block in zip(rem, blocks)]
 
@@ -327,25 +331,31 @@ def _unwitnessed_rows(side: str, L: LayeredSubspace) -> list:
     witnesses span it.  At each t-interior level b, the t^b slices of the
     witnesses of t-order b, together with the bottom band u^a for
     a < u_lo + m_u, must span every row whose pivot exponent lies in
-    [u_lo + m_u, u_hi - m_u).  Dropping the band's keys from the slices
-    stands for the band's unit rows; a trusted row has no such key.  A pivot
-    is [exponent, 1-based component].
+    [u_lo + m_u, u_hi - m_u).  Each trusted row is a ``membership`` question
+    against the slices echelonized with a full tail below the band, which
+    stands for the band's unit rows, and a top above every slice, so that a
+    witness term at or above u_hi still counts.  A pivot is [exponent,
+    1-based component].
     """
     w = L.window
+    fld = L.field
     band_top = w.u_lo + w.m_u
     slices = {}
     for vec in L.generators:
         if any(vec):
             b = ord_t_vector(vec)
-            slices.setdefault(b, []).append(
-                {(a, c): coeff for c, x in enumerate(vec)
-                 for (a, bb), coeff in x.terms if bb == b and a >= band_top})
+            slices.setdefault(b, []).append(tuple(
+                LaurentPoly(fld, tuple([(a, coeff) for (a, bb), coeff in x.terms if bb == b]))
+                for x in vec))
     out = []
     for b in range(w.t_lo + w.m_t, w.t_trusted_hi):
-        basis = {min(row): row for row in _linalg.echelon(slices.get(b, ()))}
-        for row in L.level(b).rows:
+        vecs = slices.get(b, ())
+        u_top = max([w.u_hi] + [p.coeffs[-1][0] + 1 for vec in vecs for p in vec if p])
+        span = echelonize(vecs, L.r, band_top, u_top, True, field=fld)
+        lvl = L.level(b)
+        for row, vec in zip(lvl.rows, lvl.row_vectors()):
             e, c = row[0][0]
-            if band_top <= e < w.u_trusted_hi and _linalg.reduce_vector(dict(row), basis):
+            if band_top <= e < w.u_trusted_hi and membership(span, vec) is Verdict.NOT_IN:
                 out.append({"side": side, "b": b, "pivot": [e, c + 1]})
     return out
 

@@ -714,6 +714,26 @@ def test_check_names_unwitnessed_rows(tmp_path, capsys):
     assert next(row for row in rep["levels"] if row["b"] == 0)["index_A"] == 2
 
 
+def test_out_of_window_witness_still_enters_the_span(tmp_path, capsys):
+    # u^9 t^-2 sits above u_hi = 8: products with it escape or fail, and its
+    # t^-2 slice no longer spans the trusted row u^-6 it spanned alone
+    pair = tmp_path / "pair.json"
+    assert run("build", "p2-line", "--twist", "1", "--out", str(pair)) == 0
+    obj = load(pair)
+    obj["A"]["generators"][0][0]["terms"].append([9, -2, "1/1"])
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(obj))
+    assert run("check", str(wide)) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["subalgebra"], rep["module_closure"], rep["unit"]) == (
+        "fail", "fail", "fail", "in")
+    assert rep["unwitnessed"] == [{"side": "A", "b": -2, "pivot": [-6, 1]}]
+    assert rep["tallies"] == {"checked": 1461, "deferred": 63, "escaped": 26}
+    assert rep["failures"] == (
+        [f"A-product #0*#{j} leaves A" for j in (2, 10, 11, 17, 18, 19, 24, 25, 26)]
+        + [f"module product A#0*W#{j} leaves W" for j in (12, 20, 21, 27, 28, 29)])
+
+
 WINDOW_KEYS = "t_lo t_hi u_lo u_hi"
 # the key set of every JSON object in each report, by its path; list items share
 # the path "[*]".  A report key may be added, never renamed or dropped, so a

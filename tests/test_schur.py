@@ -8,6 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 from fixtures import pair_equal_in_window, t_slice
 from oracles import (brute_membership, dense_closure, graded_dimension, graded_slice,
                      random_windowed_rows, slicewise_membership)
+from ribbonlab import schur
 from ribbonlab.errors import (ConfigError, FieldMismatchError,
                               RangeViolationError, SupportViolationError,
                               WindowMismatchError, WindowTooSmallError)
@@ -602,8 +603,8 @@ def test_layered_membership_coerces_nothing(monkeypatch):
                    for b in range(w.t_lo, w.t_hi))
     L = LayeredSubspace(fp, 1, w, levels, ())
     x = Local2DElement.from_dict(fp, {(-2, 0): 2, (0, 0): 10, (-1, 1): 6, (1, 1): -2})
-    calls = {"from_dict": 0, "scalar": 0}
-    from_dict, scalar = Local2DElement.from_dict, Field.scalar
+    calls = {"from_dict": 0, "scalar": 0, "LaurentPoly": 0}
+    from_dict, scalar, laurent_init = Local2DElement.from_dict, Field.scalar, LaurentPoly.__init__
 
     def counting_from_dict(field, d):
         calls["from_dict"] += 1
@@ -613,10 +614,15 @@ def test_layered_membership_coerces_nothing(monkeypatch):
         calls["scalar"] += 1
         return scalar(self, value)
 
+    def counting_laurent_init(self, field, coeffs=()):
+        calls["LaurentPoly"] += 1
+        laurent_init(self, field, coeffs)
+
     monkeypatch.setattr(Local2DElement, "from_dict", staticmethod(counting_from_dict))
     monkeypatch.setattr(Field, "scalar", counting_scalar)
+    monkeypatch.setattr(LaurentPoly, "__init__", counting_laurent_init)
     assert layered_membership(L, x) is Verdict.IN
-    assert calls == {"from_dict": 0, "scalar": 0}
+    assert calls == {"from_dict": 0, "scalar": 0, "LaurentPoly": 0}
     monkeypatch.undo()
     assert lift_and_subtract(L, (x,)) is Verdict.IN
     with pytest.raises(FieldMismatchError):
@@ -705,6 +711,26 @@ def test_unwitnessed_rows_make_check_inconclusive():
         "inconclusive", "inconclusive", "pass")
     assert rep["unwitnessed"] == [{"side": "A", "b": 0, "pivot": [1, 1]}]
     assert rep["failures"] == []
+
+
+def test_check_calls_membership_once_per_trusted_level_row(monkeypatch):
+    # products are reduced straight from their terms, so membership runs only
+    # in the span rule: once for each trusted level row it examines
+    w = SPAN_WINDOW
+    pair = forward_krichever(make_datum("p2-line", 1), w)
+    trusted = sum(1 for L in (pair.algebra, pair.module)
+                  for b in range(w.t_lo + w.m_t, w.t_trusted_hi)
+                  for e, _c in L.level(b).pivots if w.u_lo + w.m_u <= e < w.u_trusted_hi)
+    calls = []
+
+    def counting_membership(W, vec):
+        calls.append(W)
+        return membership(W, vec)
+
+    monkeypatch.setattr(schur, "membership", counting_membership)
+    rep = check_schur_pair(pair)
+    assert rep["verdict"] == "pass" and rep["tallies"]["checked"] > trusted > 0
+    assert len(calls) == trusted
 
 
 def test_witness_free_pair_names_every_trusted_row():
