@@ -57,9 +57,12 @@ def _write_text(path: str, text: str):
         fh.write("\n")
 
 
+# the report text format: sorted keys, indented for reading (pair files are compact)
+_report_text = functools.partial(json.dumps, sort_keys=True, indent=2)
+
+
 def _write_json(path: str, obj: dict):
-    """Write a report: sorted keys, indented for reading (pair files are compact)."""
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2))
+    _write_text(path, _report_text(obj))
 
 
 def _load_pair(path: str) -> SchurPair:
@@ -82,10 +85,12 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", default="pair.json")
     _add_options(p_build, "--field", "--t-lo", "--t-hi", "--u-lo", "--u-hi",
                  "--margin-t", "--margin-u")
+    p_build.set_defaults(run=_cmd_build)
 
     p_check = sub.add_parser("check", help="run the Schur-pair checks on a pair file")
     p_check.add_argument("pair")
     p_check.add_argument("--report", default=None, help="optional report file")
+    p_check.set_defaults(run=_cmd_check)
 
     p_report = sub.add_parser("report", help="compute a report table")
     rsub = p_report.add_subparsers(dest="subcommand", required=True)
@@ -95,28 +100,33 @@ def _parser() -> argparse.ArgumentParser:
     p_h.add_argument("--j", type=int, default=1)
     p_h.add_argument("--max-n", type=int, default=6)
     p_h.add_argument("--out", default="hilbert.json")
+    p_h.set_defaults(run=_cmd_hilbert)
 
     p_c = rsub.add_parser("cohomology")
     p_c.add_argument("--twist", type=int, default=0)
     p_c.add_argument("--depth", type=int, default=2, help="truncation depth i of the stack")
     p_c.add_argument("--out", default="cohomology.json")
     _add_options(p_c, "--field", "--bound")
+    p_c.set_defaults(run=_cmd_cohomology)
 
     p_p = rsub.add_parser("picard")
     p_p.add_argument("--max-i", type=int, default=5)
     p_p.add_argument("--out", default="picard.json")
     _add_options(p_p, "--field", "--bound")
+    p_p.set_defaults(run=_cmd_picard)
 
     p_n = rsub.add_parser("demo-noncoherent")
     p_n.add_argument("--max-k", type=int, default=3)
     p_n.add_argument("--degree-bound", type=int, default=6)
     p_n.add_argument("--out", default="noncoherent.json")
     _add_options(p_n, "--field", "--t-lo", "--t-hi")
+    p_n.set_defaults(run=_cmd_noncoherent)
 
     p_o = rsub.add_parser("order-group")
     p_o.add_argument("--example", required=True)
     p_o.add_argument("--out", default="order-group.json")
     _add_options(p_o, "--field", "--t-lo", "--t-hi", "--u-lo", "--u-hi")
+    p_o.set_defaults(run=_cmd_order_group)
     return top
 
 
@@ -135,7 +145,7 @@ def _cmd_check(args) -> int:
     pair = _load_pair(args.pair)
     obj = check_schur_pair(pair)
     obj["config"] = {"field": pair.field.tag, "window": pair.window.to_json()}
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    text = _report_text(obj)
     if args.report:
         _write_text(args.report, text)
     try:
@@ -221,15 +231,6 @@ def _cmd_order_group(args) -> int:
     return EXIT_PASS
 
 
-_REPORT_DISPATCH = {
-    "hilbert": _cmd_hilbert,
-    "cohomology": _cmd_cohomology,
-    "picard": _cmd_picard,
-    "demo-noncoherent": _cmd_noncoherent,
-    "order-group": _cmd_order_group,
-}
-
-
 def main(argv=None) -> int:
     parser = _parser()
     try:
@@ -237,11 +238,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _REPORT_DISPATCH[args.subcommand](args)
+        return args.run(args)  # each leaf parser sets its handler as run
     except (WindowTooSmallError, TruncationBoundError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -14,7 +14,8 @@ class ZeroOrderError(RibbonlabError):
 
 
 class SupportViolationError(RibbonlabError):
-    """An element's support sticks outside the window it must live in."""
+    """An element's support sticks outside its window, a vector's component count is
+    not the rank, or ``echelonize`` is given no vector and no field to infer one from."""
 
 
 class NotCocompactError(RibbonlabError):
@@ -30,11 +31,11 @@ class TruncationBoundError(RibbonlabError):
 
 
 class RangeViolationError(RibbonlabError):
-    """Level range (i, j) is empty or leaves the window."""
+    """An integer argument (j, n, n_max, a depth or --max-i) is below its bound."""
 
 
 class WindowMismatchError(RibbonlabError):
-    """Two objects that must share a window (or rank) do not."""
+    """The two sides of a Schur pair live on different windows or over different fields."""
 
 
 class DegreeBoundError(RibbonlabError):

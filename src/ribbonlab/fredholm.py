@@ -30,20 +30,6 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _vector_to_row(vec: Sequence[LaurentPoly]) -> dict:
-    row = {}
-    for c, poly in enumerate(vec):
-        for e, coeff in poly.coeffs:
-            row[(e, c)] = coeff
-    return row
-
-
-def _row_to_vector(row: tuple, r: int, field: Field) -> tuple:
-    """Split a stored row, sorted by (e, c), into its r canonical components."""
-    return tuple(LaurentPoly(field, tuple((e, coeff) for (e, cc), coeff in row if cc == c))
-                 for c in range(r))
-
-
 @dataclass(frozen=True)
 class WindowedSubspace:
     """Echelonized window model; rows stored canonically sorted by pivot.
@@ -76,7 +62,9 @@ class WindowedSubspace:
         return dict(zip(self.pivots, self.row_dicts()))
 
     def row_vectors(self) -> list:
-        return [_row_to_vector(row, self.r, self.field) for row in self.rows]
+        """Split each stored row, sorted by (e, c), into its r canonical components."""
+        return [tuple(LaurentPoly(self.field, tuple((e, coeff) for (e, cc), coeff in row if cc == c))
+                      for c in range(self.r)) for row in self.rows]
 
     def to_json(self) -> dict:
         return {
@@ -113,16 +101,16 @@ def echelonize(rows: Sequence[Sequence[LaurentPoly]], r: int, u_lo: int, u_hi: i
         for poly in vec:
             if poly.field is not field and poly.field != field:
                 raise FieldMismatchError(f"component over {poly.field.tag} in a {field.tag} space")
-        row = _vector_to_row(vec)
         kept = {}
-        for (e, c), coeff in row.items():
-            if e >= u_hi:
-                raise SupportViolationError(f"exponent {e} at or above window top {u_hi}")
-            if e < u_lo:
-                if not full_below:
-                    raise SupportViolationError(f"exponent {e} below window bottom {u_lo}")
-                continue  # absorbed by the full below-window tail
-            kept[(e, c)] = coeff
+        for c, poly in enumerate(vec):
+            for e, coeff in poly.coeffs:
+                if e >= u_hi:
+                    raise SupportViolationError(f"exponent {e} at or above window top {u_hi}")
+                if e < u_lo:
+                    if not full_below:
+                        raise SupportViolationError(f"exponent {e} below window bottom {u_lo}")
+                    continue  # absorbed by the full below-window tail
+                kept[(e, c)] = coeff
         dict_rows.append(kept)
     if field is None:
         raise SupportViolationError("cannot infer the field of an empty subspace; pass field=")
@@ -144,12 +132,14 @@ def membership(W: WindowedSubspace, vec: Sequence[LaurentPoly]) -> Verdict:
     if len(vec) != W.r:
         raise SupportViolationError(f"vector has {len(vec)} components, expected {W.r}")
     u_lo, u_hi = W.u_lo, W.u_hi
-    for poly in vec:
+    row = {}
+    for c, poly in enumerate(vec):
         if poly.coeffs:
             for e in (poly.coeffs[0][0], poly.coeffs[-1][0]):
                 if not u_lo <= e < u_hi:
                     raise SupportViolationError(f"exponent {e} outside window [{u_lo}, {u_hi})")
-    row = _vector_to_row(vec)
+            for e, coeff in poly.coeffs:
+                row[(e, c)] = coeff
     rem = _linalg.reduce_vector(row, W.pivot_rows)
     return Verdict.IN if not rem else Verdict.NOT_IN
 

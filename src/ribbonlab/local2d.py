@@ -86,15 +86,13 @@ class Local2DElement:
     @staticmethod
     def from_dict(field: Field, d) -> "Local2DElement":
         """Coerce a dict or a list of ((a, b), coefficient) pairs; a key (a, b) may not repeat."""
-        items = {}
+        items = {}  # keyed (b, a), as _canonical takes them
         for (a, b), c in (d.items() if isinstance(d, dict) else d):
-            k = (json_int(a, "exponent"), json_int(b, "exponent"))
-            if k in items:
+            a, b = json_int(a, "exponent"), json_int(b, "exponent")
+            if (b, a) in items:
                 raise ConfigError(f"term u^{a} t^{b} is repeated")
-            items[k] = field.scalar(c)
-        terms = [(k, c) for k, c in items.items() if c]
-        terms.sort(key=lambda kc: (kc[0][1], kc[0][0]))
-        return Local2DElement(field, tuple(terms))
+            items[b, a] = field.scalar(c)
+        return _canonical(field, items)
 
     @staticmethod
     def one(field: Field) -> "Local2DElement":
@@ -112,37 +110,23 @@ class Local2DElement:
             raise FieldMismatchError(f"{self.field.tag} vs {other.field.tag}")
 
     def _merge(self, other: "Local2DElement", negate: bool) -> "Local2DElement":
-        """self + other, or self - other when ``negate``: one merge of two sorted runs.
+        """self + other, or self - other when ``negate``.
 
         Subtracting an element whose terms equal a leading block of self's
         returns self's remaining terms as they are, with no coefficient
         touched: that is ``layered_membership``'s lift subtraction.  The test
-        compares terms exactly, so a block that differs anywhere is merged.
+        compares terms exactly; any other sum or difference adds the
+        coefficients key by key and ends in ``_canonical``.
         """
         self._check(other)
         x, y = self.terms, other.terms
         if negate and x[:len(y)] == y:
             return Local2DElement(self.field, x[len(y):])
-        out = []
-        i = j = 0
-        while i < len(x) and j < len(y):
-            (ax, bx), cx = x[i]
-            (ay, by), cy = y[j]
-            if bx < by or (bx == by and ax < ay):
-                out.append(x[i])
-                i += 1
-            elif by < bx or ay < ax:
-                out.append((y[j][0], -cy) if negate else y[j])
-                j += 1
-            else:
-                c = cx - cy if negate else cx + cy
-                if c:
-                    out.append((x[i][0], c))
-                i += 1
-                j += 1
-        out += x[i:]
-        out += [(k, -c) for k, c in y[j:]] if negate else y[j:]
-        return Local2DElement(self.field, tuple(out))
+        d = {(b, a): c for (a, b), c in x}
+        for (a, b), c in y:
+            c = -c if negate else c
+            d[b, a] = d[b, a] + c if (b, a) in d else c
+        return _canonical(self.field, d)
 
     def __add__(self, other: "Local2DElement") -> "Local2DElement":
         return self._merge(other, False)
@@ -155,8 +139,8 @@ class Local2DElement:
 
         Adding (a, b) to every key keeps the (b, a) order, and c times a
         nonzero coefficient is nonzero in a field, so a shift needs no sort and
-        no zero test.  Otherwise only a key where two term pairs met can sum
-        to zero, so only those keys are tested.
+        no zero test.  Any other product sums the term-pair products key by
+        key and ends in ``_canonical``.
         """
         self._check(other)
         x, y = self.terms, other.terms
@@ -166,21 +150,13 @@ class Local2DElement:
             ((a2, b2), c2), = y
             return Local2DElement(self.field, tuple([
                 ((a1 + a2, b1 + b2), c1 * c2) for (a1, b1), c1 in x]))
-        d: dict = {}  # keyed (b, a), so sorting the keys gives the term order
-        met = set()
+        d: dict = {}  # keyed (b, a), as _canonical takes them
         for (a1, b1), c1 in x:
             for (a2, b2), c2 in y:
                 k = (b1 + b2, a1 + a2)
                 prod = c1 * c2
-                if k in d:
-                    d[k] = d[k] + prod
-                    met.add(k)
-                else:
-                    d[k] = prod
-        for k in met:
-            if not d[k]:
-                del d[k]
-        return Local2DElement(self.field, tuple(((a, b), c) for (b, a), c in sorted(d.items())))
+                d[k] = d[k] + prod if k in d else prod
+        return _canonical(self.field, d)
 
     def ord_t(self) -> int:
         """Minimal t-exponent carrying a nonzero term; undefined for zero."""
@@ -197,6 +173,11 @@ class Local2DElement:
     @staticmethod
     def from_json(obj: dict, field: Field) -> "Local2DElement":
         return Local2DElement.from_dict(field, (((a, b), c) for a, b, c in obj["terms"]))
+
+
+def _canonical(field: Field, d: dict) -> Local2DElement:
+    """The element with coefficients ``d`` keyed (b, a): zeros dropped, terms sorted by key."""
+    return Local2DElement(field, tuple([((a, b), c) for (b, a), c in sorted(d.items()) if c]))
 
 
 def ord_t_vector(vec: Sequence[Local2DElement]) -> int:

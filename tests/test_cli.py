@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import pair_equal_in_window
+from ribbonlab import cli
 from ribbonlab.cli import _parser, main
 from ribbonlab.geometry import NodalCubicRing, noncoherent_chain
 from ribbonlab.schur import SchurPair
@@ -644,21 +645,37 @@ SURFACE = {
 }
 
 
-def commands(parser, prefix=""):
-    """(command name, its settable option strings and positional names), leaves only."""
+def leaves(parser, prefix=""):
+    """(command name, its parser) for each leaf command."""
     sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
     if sub is None:
-        yield prefix.strip(), {s for a in parser._actions if not isinstance(a, argparse._HelpAction)
-                               for s in a.option_strings or [a.dest]}
+        yield prefix.strip(), parser
         return
     for name, child in sub.choices.items():
-        yield from commands(child, f"{prefix}{name} ")
+        yield from leaves(child, f"{prefix}{name} ")
+
+
+def commands(parser):
+    """(command name, its settable option strings and positional names), leaves only."""
+    for name, leaf in leaves(parser):
+        yield name, {s for a in leaf._actions if not isinstance(a, argparse._HelpAction)
+                     for s in a.option_strings or [a.dest]}
 
 
 def test_each_command_takes_only_what_it_reads():
     surface = dict(commands(_parser()))
     assert surface == SURFACE
     assert sum(map(len, surface.values())) == 38
+
+
+def test_each_command_has_its_own_handler():
+    # main calls args.run; a leaf without one would end in an AttributeError traceback
+    handlers = {name: leaf.get_default("run") for name, leaf in leaves(_parser())}
+    assert set(handlers) == set(SURFACE)
+    for name, run_fn in handlers.items():
+        assert callable(run_fn) and run_fn.__name__.startswith("_cmd_"), name
+        assert getattr(cli, run_fn.__name__) is run_fn, name
+    assert len(set(handlers.values())) == len(handlers)
 
 
 def test_report_config_lists_what_was_read(tmp_path):

@@ -66,6 +66,14 @@ def test_echelonize_rejects_a_component_over_another_field():
     assert W.row_vectors() == [vec(lp({0: 1}, F13))]
 
 
+def test_echelonize_checks_every_field_before_the_window():
+    # per vector: component count, then the field of every component, then the window
+    with pytest.raises(FieldMismatchError):
+        echelonize([vec(lp({20: 1}), lp({0: 1}, F13))], 2, -4, 4, True, field=QQ)
+    with pytest.raises(SupportViolationError, match="components"):
+        echelonize([vec(lp({20: 1}, F13))], 2, -4, 4, True, field=QQ)
+
+
 def test_membership_examples():
     W = echelonize([vec(lp({0: 1})), vec(lp({1: 1}))], 1, -4, 4, True)
     assert membership(W, vec(lp({0: 3, 1: 2}))) is Verdict.IN

@@ -242,6 +242,12 @@ def test_from_dict_rejects_non_integer_exponents(key):
         Local2DElement.monomial(QQ, *key)
 
 
+def test_from_dict_names_the_first_bad_exponent_in_a_b_order():
+    # the key is stored as (b, a), but a is still checked before b
+    with pytest.raises(ConfigError, match="'x'"):
+        Local2DElement.from_dict(QQ, {("x", "y"): 1})
+
+
 @pytest.mark.parametrize("make", [
     lambda: el(QQ, {(0, 0): "1/2", (-3, 1): 4}),
     lambda: el(F_MERSENNE, {(2, -1): -1}),

@@ -780,3 +780,37 @@ def test_check_passes_only_pairs_the_dense_closure_oracle_passes(pair):
     event(f"{rep['verdict']}, unwitnessed rows: {bool(rep['unwitnessed'])}")
     if rep["verdict"] == "pass":
         assert dense_closure(pair)
+
+
+W_GROWN = Window2D(-6, 6, -12, 12, 3, 3)
+
+
+def regrow(pair, datum, w):
+    """The pair at the larger window w: forward levels of w, the pair's own
+    witnesses in their order, then the forward witnesses of w not among them."""
+    grown = forward_krichever(datum, w)
+    sides = []
+    for L, F in ((pair.algebra, grown.algebra), (pair.module, grown.module)):
+        extra = tuple(g for g in F.generators if g not in L.generators)
+        sides.append(LayeredSubspace(L.field, L.r, w, F.levels, L.generators + extra))
+    return SchurPair(*sides, meta=pair.meta)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+@pytest.mark.parametrize("kind,twist", [("p2-line", 0), ("p2-line", 1), ("nilpotent", 0),
+                                        ("even-variant", 0)])
+def test_verdict_survives_window_growth(kind, twist, planted):
+    # ROADMAP item 9 on forward pairs: a verdict holds when the window grows,
+    # and so does every failure label (the witness indices are kept)
+    datum = make_datum(kind, twist)
+    pair = forward_krichever(datum, W_AC)
+    if planted:  # u^1 t^0 is above level 0 of A
+        A = pair.algebra
+        pair = SchurPair(LayeredSubspace(A.field, 1, A.window, A.levels,
+                                         A.generators + ((mono(1, 0),),)), pair.module)
+    small = check_schur_pair(pair)
+    big = check_schur_pair(regrow(pair, datum, W_GROWN))
+    assert big["verdict"] == small["verdict"]
+    assert set(small["failures"]) <= set(big["failures"])
+    assert (small["verdict"] == "fail") == bool(small["failures"])
+    assert small["verdict"] == "fail" or not planted
