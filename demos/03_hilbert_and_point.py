@@ -29,7 +29,7 @@ from ribbonlab.series import QQ, LaurentPoly
 
 w = Window2D(0, 1, -8, 8, 0, 2)
 rows = [(LaurentPoly.from_dict(QQ, {a: 1}),) for a in list(range(-8, -1)) + [0]]
-gapped = LayeredSubspace(QQ, 1, w, ((0, echelonize(rows, 1, -8, 8, True)),), ())
+gapped = LayeredSubspace(QQ, 1, w, ((0, echelonize(rows, 1, -8, 8, True, field=QQ)),), ())
 broken = point_ideal_check(gapped, n_max=4)
 print(f"gapped level-0 space: jumps {broken['jumps']} -> pass={broken['pass']}")
 assert not broken["pass"], broken["jumps"]

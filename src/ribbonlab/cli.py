@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     except (ConfigError, DegreeBoundError, UnsupportedDatumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RibbonlabError, json.JSONDecodeError, KeyError, OSError, ValueError) as exc:
+    except (RibbonlabError, KeyError, OSError, ValueError) as exc:
         print(f"error: malformed input or arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

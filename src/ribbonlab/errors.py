@@ -14,8 +14,8 @@ class ZeroOrderError(RibbonlabError):
 
 
 class SupportViolationError(RibbonlabError):
-    """An element's support sticks outside its window, a vector's component count is
-    not the rank, or ``echelonize`` is given no vector and no field to infer one from."""
+    """An element's support sticks outside its window, or a vector's component count is
+    not the rank."""
 
 
 class NotCocompactError(RibbonlabError):

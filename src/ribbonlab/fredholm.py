@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import _linalg
 from .errors import (ConfigError, FieldMismatchError, NotCocompactError,
@@ -85,19 +85,17 @@ class WindowedSubspace:
 
 
 def echelonize(rows: Sequence[Sequence[LaurentPoly]], r: int, u_lo: int, u_hi: int,
-               full_below: bool, field: Union[Field, None] = None) -> WindowedSubspace:
+               full_below: bool, field: Field) -> WindowedSubspace:
     """Reduced echelon form of the span of the given vectors inside the window.
 
     With full_below set, terms below u_lo are absorbable into the modeled tail
     and are discarded before elimination.  Support at or above u_hi is an error,
-    and so is a component over a field other than ``field`` (default: the first's).
+    and so is a component over a field other than ``field``.
     """
     dict_rows = []
     for vec in rows:
         if len(vec) != r:
             raise SupportViolationError(f"vector has {len(vec)} components, expected {r}")
-        if field is None:
-            field = vec[0].field
         for poly in vec:
             if poly.field is not field and poly.field != field:
                 raise FieldMismatchError(f"component over {poly.field.tag} in a {field.tag} space")
@@ -112,8 +110,6 @@ def echelonize(rows: Sequence[Sequence[LaurentPoly]], r: int, u_lo: int, u_hi: i
                     continue  # absorbed by the full below-window tail
                 kept[(e, c)] = coeff
         dict_rows.append(kept)
-    if field is None:
-        raise SupportViolationError("cannot infer the field of an empty subspace; pass field=")
     basis = _linalg.echelon(dict_rows)
     canon = tuple(tuple(sorted(row.items())) for row in basis)
     return WindowedSubspace(field, r, u_lo, u_hi, full_below, canon)
@@ -124,13 +120,17 @@ def membership(W: WindowedSubspace, vec: Sequence[LaurentPoly]) -> Verdict:
 
     The vector's support must lie inside the window; terms below u_lo count as
     zero only through the full_below tail of the rows themselves, a vector
-    poking outside is rejected; a component's exponents are sorted, so only
-    its first and last are compared with the window.  The rows must be in
-    reduced echelon form, which ``echelonize`` guarantees: the reduction reads
-    each row's multiple off the vector's coefficient at that row's pivot.
+    poking outside is rejected, and so is a component over another field; a
+    component's exponents are sorted, so only its first and last are compared
+    with the window.  The rows must be in reduced echelon form, which
+    ``echelonize`` guarantees: the reduction reads each row's multiple off the
+    vector's coefficient at that row's pivot.
     """
     if len(vec) != W.r:
         raise SupportViolationError(f"vector has {len(vec)} components, expected {W.r}")
+    for poly in vec:
+        if poly.field is not W.field and poly.field != W.field:
+            raise FieldMismatchError(f"component over {poly.field.tag} in a {W.field.tag} space")
     u_lo, u_hi = W.u_lo, W.u_hi
     row = {}
     for c, poly in enumerate(vec):
@@ -166,10 +166,5 @@ def fredholm_index(W: WindowedSubspace, top_margin: int = 0) -> int:
         raise WindowTooSmallError(
             "index against k[[u]]^r needs the window to straddle exponent 0")
     check_top_margin(W, top_margin)
-    # exponent-major reduced echelon: a combination lies in F+ iff every
-    # contributing row has pivot exponent >= 0, so both dimensions read off
-    # the pivot profile.
-    nonneg = sum(1 for (e, _c) in W.pivots if e >= 0)
-    neg = len(W.pivots) - nonneg
-    neg_window = W.r * max(0, min(0, W.u_hi) - W.u_lo)
-    return nonneg - (neg_window - neg)
+    # by the pivot profile: #{e >= 0} - (r * -u_lo - #{e < 0}); the two counts sum to all pivots
+    return len(W.pivots) + W.r * W.u_lo

@@ -124,11 +124,6 @@ def _monomials(g: GeometricDatum, side: str, w: Window2D):
             yield from ((a, b) for a in range(w.u_lo, min(bound, w.u_hi - 1) + 1))
 
 
-def _interior_generators(g: GeometricDatum, side: str, w: Window2D, fld: Field):
-    return tuple((Local2DElement.monomial(fld, a, b),)
-                 for a, b in _monomials(g, side, w.interior()))
-
-
 def forward_krichever(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> SchurPair:
     """Windowed Schur pair of a projective datum: section spaces expanded at P.
 
@@ -145,7 +140,8 @@ def forward_krichever(g: GeometricDatum, w: Window2D, fld: Field = QQ) -> SchurP
     for side in ("A", "W"):
         levels = tuple((b, _build_level(g, b, side, w, fld))
                        for b in range(w.t_lo, w.t_hi))
-        gens = _interior_generators(g, side, w, fld)
+        gens = tuple((Local2DElement.monomial(fld, a, b),)
+                     for a, b in _monomials(g, side, w.interior()))
         sides[side] = LayeredSubspace(fld, 1, w, levels, gens)
     return SchurPair(sides["A"], sides["W"], g.meta())
 

@@ -99,8 +99,8 @@ class Local2DElement:
         return Local2DElement.monomial(field, 0, 0)
 
     @staticmethod
-    def monomial(field: Field, a: int, b: int, coeff=1) -> "Local2DElement":
-        return Local2DElement.from_dict(field, {(a, b): coeff})
+    def monomial(field: Field, a: int, b: int) -> "Local2DElement":
+        return Local2DElement.from_dict(field, {(a, b): 1})
 
     def __bool__(self):
         return bool(self.terms)

@@ -76,6 +76,9 @@ class LayeredSubspace:
             lvl = by_b[b]
             if lvl.r != self.r or (lvl.u_lo, lvl.u_hi) != (w.u_lo, w.u_hi):
                 raise ConfigError(f"level {b} does not match the layered window/rank")
+            if lvl.field is not self.field and lvl.field != self.field:
+                raise FieldMismatchError(
+                    f"level {b} is over {lvl.field.tag} in a {self.field.tag} subspace")
         if any(len(vec) != self.r for vec in self.generators):
             raise ConfigError(f"every generator needs {self.r} components")
         object.__setattr__(self, "_by_b", by_b)

@@ -40,8 +40,6 @@ def _rational(v):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
     if p % 2 == 0:
         return p == 2
     d = 3
@@ -193,14 +191,8 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """Exact quotient; over Q it goes through Fraction, so int / int never gives a float."""
-        other = self._coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by zero scalar")
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, _rational(Fraction(self.value, other.value)))
-        return Scalar(self.field, self.value * pow(other.value, -1, p) % p)
+        """Exact quotient self * other.inverse(), so int / int never gives a float."""
+        return self * self._coerce(other).inverse()
 
     def __neg__(self):
         p = self.field.p
@@ -255,8 +247,8 @@ class LaurentPoly:
         return LaurentPoly(field, tuple(sorted((e, c) for e, c in items.items() if c)))
 
     @staticmethod
-    def monomial(field: Field, exp: int, coeff=1) -> "LaurentPoly":
-        return LaurentPoly.from_dict(field, {exp: coeff})
+    def monomial(field: Field, exp: int) -> "LaurentPoly":
+        return LaurentPoly.from_dict(field, {exp: 1})
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -26,13 +26,13 @@ def monomial_space(exps, u_lo, u_hi, full_below=True, field=QQ):
 
 
 def test_echelonize_reduces_pivots():
-    W = echelonize([vec(lp({1: 1, 0: 1})), vec(lp({1: 1}))], 1, -4, 4, True)
+    W = echelonize([vec(lp({1: 1, 0: 1})), vec(lp({1: 1}))], 1, -4, 4, True, field=QQ)
     assert W.row_vectors() == [vec(lp({0: 1})), vec(lp({1: 1}))]
     assert W.pivots == ((0, 0), (1, 0))
 
 
 def test_echelonize_duplicates_collapse():
-    W = echelonize([vec(lp({-1: 1})), vec(lp({-1: 1}))], 1, -4, 4, True)
+    W = echelonize([vec(lp({-1: 1})), vec(lp({-1: 1}))], 1, -4, 4, True, field=QQ)
     assert len(W.rows) == 1
     assert W.row_vectors() == [vec(lp({-1: 1}))]
 
@@ -42,26 +42,21 @@ def test_echelonize_empty():
     assert W.rows == ()
 
 
-def test_echelonize_empty_needs_a_field():
-    with pytest.raises(SupportViolationError, match="pass field="):
-        echelonize([], 1, -4, 4, True)
-
-
 def test_echelonize_absorbs_below_window_only_when_full():
-    W = echelonize([vec(lp({-9: 1, 0: 1}))], 1, -8, 8, True)
+    W = echelonize([vec(lp({-9: 1, 0: 1}))], 1, -8, 8, True, field=QQ)
     assert W.row_vectors() == [vec(lp({0: 1}))]
     with pytest.raises(SupportViolationError):
-        echelonize([vec(lp({-9: 1, 0: 1}))], 1, -8, 8, False)
+        echelonize([vec(lp({-9: 1, 0: 1}))], 1, -8, 8, False, field=QQ)
     with pytest.raises(SupportViolationError):
-        echelonize([vec(lp({8: 1}))], 1, -8, 8, True)
+        echelonize([vec(lp({8: 1}))], 1, -8, 8, True, field=QQ)
 
 
 def test_echelonize_rejects_a_component_over_another_field():
-    # with field= given, and without it against the first component's field
+    # a vector over F_13 alone, and one after a vector over the space's own field
     with pytest.raises(FieldMismatchError):
         echelonize([vec(lp({0: 1}, F13))], 1, -4, 4, True, field=QQ)
     with pytest.raises(FieldMismatchError):
-        echelonize([vec(lp({0: 1})), vec(lp({1: 1}, F13))], 1, -4, 4, True)
+        echelonize([vec(lp({0: 1})), vec(lp({1: 1}, F13))], 1, -4, 4, True, field=QQ)
     W = echelonize([vec(lp({0: 1}, Field(13)))], 1, -4, 4, True, field=F13)
     assert W.row_vectors() == [vec(lp({0: 1}, F13))]
 
@@ -75,9 +70,9 @@ def test_echelonize_checks_every_field_before_the_window():
 
 
 def test_membership_examples():
-    W = echelonize([vec(lp({0: 1})), vec(lp({1: 1}))], 1, -4, 4, True)
+    W = echelonize([vec(lp({0: 1})), vec(lp({1: 1}))], 1, -4, 4, True, field=QQ)
     assert membership(W, vec(lp({0: 3, 1: 2}))) is Verdict.IN
-    W1 = echelonize([vec(lp({0: 1}))], 1, -4, 4, True)
+    W1 = echelonize([vec(lp({0: 1}))], 1, -4, 4, True, field=QQ)
     assert membership(W1, vec(lp({1: 1}))) is Verdict.NOT_IN
 
 
@@ -92,6 +87,17 @@ def test_membership_refuses_a_vector_of_another_rank():
     W = monomial_space(range(-4, 1), -4, 4)
     with pytest.raises(SupportViolationError, match="2 components, expected 1"):
         membership(W, vec(lp({0: 1}), lp({0: 1})))
+
+
+@pytest.mark.parametrize("vector", [
+    vec(lp({0: 1}, F13)),   # equal to a row of W as numbers
+    vec(lp({1: 1}, F13)),   # outside W as numbers
+    vec(lp({9: 1}, F13)),   # a term outside the window: the field is checked first
+])
+def test_membership_refuses_a_component_over_another_field(vector):
+    W = echelonize([vec(lp({0: 1}))], 1, -4, 4, True, field=QQ)
+    with pytest.raises(FieldMismatchError, match="component over Fp:13 in a Q space"):
+        membership(W, vector)
 
 
 @pytest.mark.parametrize("vector, exponent", [
@@ -138,11 +144,11 @@ def test_index_window_too_small_margin():
 def test_pivot_profile_examples():
     # pivots are (exponent, component) keys, components numbered from 0
     assert monomial_space([0, 1], -4, 4).pivots == ((0, 0), (1, 0))
-    W = echelonize([vec(lp({-2: 1, 1: 1}))], 1, -4, 4, True)
+    W = echelonize([vec(lp({-2: 1, 1: 1}))], 1, -4, 4, True, field=QQ)
     assert W.pivots == ((-2, 0),)
     W2 = echelonize(
         [vec(lp({-1: 1}), LaurentPoly(QQ)), vec(LaurentPoly(QQ), lp({0: 1}))],
-        2, -4, 4, True)
+        2, -4, 4, True, field=QQ)
     assert W2.pivots == ((-1, 0), (0, 1))
 
 
@@ -219,7 +225,7 @@ def test_index_additive_on_direct_sums():
 
 
 def test_json_roundtrip():
-    W = echelonize([vec(lp({-2: 1, 1: "1/3"}))], 1, -4, 4, True)
+    W = echelonize([vec(lp({-2: 1, 1: "1/3"}))], 1, -4, 4, True, field=QQ)
     obj = W.to_json()
     assert obj["full_below"] and obj["r"] == 1
     from ribbonlab.fredholm import WindowedSubspace

@@ -272,6 +272,15 @@ def test_layered_requires_every_level():
         LayeredSubspace(QQ, 1, w, ((0, lvl),), ())
 
 
+def test_layered_refuses_a_level_over_another_field():
+    # reducing against F_7 rows would delete each pivot entry of a Q vector
+    # without arithmetic, so the fields would never meet
+    w = Window2D(-2, 2, -4, 4, 0, 0)
+    levels = tuple((b, monomial_level(0, w, Field(7))) for b in range(w.t_lo, w.t_hi))
+    with pytest.raises(FieldMismatchError, match="level -2 is over Fp:7 in a Q subspace"):
+        LayeredSubspace(QQ, 1, w, levels, ())
+
+
 def test_witness_validation_strict(p2_pair):
     bad = LayeredSubspace(QQ, 1, W_AC, p2_pair.algebra.levels,
                           p2_pair.algebra.generators + ((mono(1, 0),),))
@@ -788,7 +797,7 @@ W_GROWN = Window2D(-6, 6, -12, 12, 3, 3)
 def regrow(pair, datum, w):
     """The pair at the larger window w: forward levels of w, the pair's own
     witnesses in their order, then the forward witnesses of w not among them."""
-    grown = forward_krichever(datum, w)
+    grown = forward_krichever(datum, w, pair.algebra.field)
     sides = []
     for L, F in ((pair.algebra, grown.algebra), (pair.module, grown.module)):
         extra = tuple(g for g in F.generators if g not in L.generators)
@@ -814,3 +823,44 @@ def test_verdict_survives_window_growth(kind, twist, planted):
     assert set(small["failures"]) <= set(big["failures"])
     assert (small["verdict"] == "fail") == bool(small["failures"])
     assert small["verdict"] == "fail" or not planted
+
+
+def perturbed_witnesses(rng, L, limit, planted):
+    """L's monomial witnesses u^a t^b, each with one or two extra terms c u^a' t^b'
+    of its own side (a' + b' <= limit) with b < b' <= b + 2 inside the interior;
+    witnesses on the top interior level have no room and stay monomial.  With
+    ``planted`` one witness also gets a trusted term with a' + b' > limit."""
+    inner, p = L.window.interior(), L.field.p
+    out = []
+    for (x,) in L.generators:
+        ((a, b), c), = x.terms
+        terms = {(a, b): c}
+        top = min(b + 2, inner.t_hi - 1)
+        for _ in range(rng.randint(1, 2) if top > b else 0):
+            b2 = rng.randint(b + 1, top)
+            a2 = rng.randint(inner.u_lo, min(inner.u_hi - 1, limit - b2))
+            terms.setdefault((a2, b2), rng.randint(1, p - 1))
+        out.append(terms)
+    if planted:
+        i = rng.choice([i for i, t in enumerate(out) if min(b for _a, b in t) + 1 < inner.t_hi])
+        b2 = min(b for _a, b in out[i]) + 1
+        out[i][rng.randint(max(inner.u_lo, limit - b2 + 1), inner.u_hi - 1), b2] = 1
+    return tuple((Local2DElement.from_dict(L.field, t),) for t in out)
+
+
+@pytest.mark.parametrize("twist,planted,seed", [(0, False, 1), (1, False, 2), (0, True, 3),
+                                                (2, True, 4)])
+def test_verdict_survives_window_growth_on_perturbed_pairs(twist, planted, seed):
+    # ROADMAP item 9 on non-monomial witnesses over F_(2^31-1)
+    rng = random.Random(seed)
+    datum = make_datum("p2-line", twist)
+    base = forward_krichever(datum, W_GROWN, F_MERSENNE)
+    A, M = base.algebra, base.module
+    pair = SchurPair(
+        LayeredSubspace(A.field, 1, A.window, A.levels, perturbed_witnesses(rng, A, 0, planted)),
+        LayeredSubspace(M.field, 1, M.window, M.levels, perturbed_witnesses(rng, M, twist, False)))
+    small = check_schur_pair(pair)
+    big = check_schur_pair(regrow(pair, datum, Window2D(-7, 7, -14, 14, 4, 4)))
+    assert small["verdict"] == ("fail" if planted else "pass")
+    assert big["verdict"] == small["verdict"]
+    assert set(small["failures"]) <= set(big["failures"])

@@ -155,6 +155,20 @@ def test_prime_field_inverse_matches_pow(data, field):
     assert (a * inv).value == 1 and a * inv == field.one
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), field=st.sampled_from(PRIME_FIELDS))
+def test_prime_field_division_is_multiplication_by_the_inverse(data, field):
+    residue = st.integers(0, field.p - 1)
+    a = field.scalar(data.draw(residue))
+    b = field.scalar(data.draw(residue.filter(bool)))
+    assert a / b == a * b.inverse()
+    assert (a / b) * b == a
+    assert type((a / b).value) is int and 0 <= (a / b).value < field.p
+    for zero in (field.zero, 0):
+        with pytest.raises(ZeroDivisionError, match="division by zero scalar"):
+            a / zero
+
+
 @pytest.mark.parametrize("field", [QQ] + PRIME_FIELDS, ids=["Q", "F2", "F13", "F2^31-1"])
 def test_inverse_of_plus_or_minus_one_is_itself_and_zero_raises(field):
     minus_one = field.scalar(-1)
