@@ -1,9 +1,11 @@
 """Sparse exact Gaussian elimination over arbitrary sortable basis keys.
 
-Rows are dicts mapping a basis key to a nonzero Scalar.  The pivot of a row
-is its minimal key, so with keys ordered (exponent, component) the echelon
-profile reads off leading orders from below, which is the convention every
-filtration in this package uses.  There is one elimination kernel,
+Rows are dicts mapping a basis key to a Scalar.  An input row may hold zero
+entries: ``echelon`` and ``reduce_vector`` drop them, and every row they
+return holds nonzero entries only.  The pivot of a row is its minimal key,
+so with keys ordered (exponent, component) the echelon profile reads off
+leading orders from below, which is the convention every filtration in this
+package uses.  There is one elimination kernel,
 ``reduce_vector`` against a reduced basis: ``echelon`` builds its basis with
 it, and membership tests reduce against the basis ``echelon`` returns.
 """
@@ -74,11 +76,21 @@ def reduce_vector(v: dict, pivots: dict) -> dict:
     of a row is v's coefficient c at its pivot, the row is 1 there, and no
     other row touches that key, so c - c * 1 is exactly zero.  Only the
     row's other entries are multiplied and subtracted.
+
+    v may hold zero entries.  They leave the copy in a loop of their own,
+    before any subtraction: deleting a zero later could delete the value a
+    row subtraction has since written at its key.  So a pivot key is in the
+    copy exactly when v's coefficient there is nonzero, because no row
+    touches another row's pivot, and ``k not in rem`` is the one zero test
+    the main loop needs.
     """
-    rem = {k: c for k, c in v.items() if c}
+    rem = dict(v)
+    for k, c in v.items():
+        if not c:
+            del rem[k]
     for k, c in v.items():
         row = pivots.get(k)
-        if row is None or not c:
+        if row is None or k not in rem:
             continue
         del rem[k]
         for k2, x in row.items():

@@ -186,9 +186,11 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
     coefficient} and reduces it with ``_linalg.reduce_vector`` against the
     level's ``pivot_rows``, as ``fredholm.membership`` would, but with no
     slice polynomial and no second window check: every term passed the
-    window check on entry.  The lift t^b * slice is the remainder's own
-    leading block, so subtracting it drops that block without arithmetic
-    (see ``Local2DElement._merge``).
+    window check on entry.  The scan records each block's length, and the
+    walk subtracts a lift t^b * slice only from a component whose block is
+    not empty; a component with no term at b keeps its terms as they are.
+    The lift is the component's own leading block, so subtracting it drops
+    that block without arithmetic (see ``Local2DElement._merge``).
     """
     w = L.window
     t_lo, t_hi, u_lo, u_hi = w.t_lo, w.t_hi, w.u_lo, w.u_hi
@@ -203,25 +205,31 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
                 raise SupportViolationError(f"term u^{a} t^{b} outside the window")
     rem = list(vec)
     while True:
-        lead = [comp.terms[0][0][1] for comp in rem if comp.terms]
-        if not lead:
+        b = t_hi  # above every term: each passed the window check
+        for comp in rem:
+            if comp.terms:
+                bb = comp.terms[0][0][1]
+                if bb < b:
+                    b = bb
+        if b == t_hi:
             return Verdict.IN
-        b = min(lead)
         if b >= t_top:
             return Verdict.INCONCLUSIVE
-        blocks, row = [], {}
+        row, lengths = {}, []
         for c, comp in enumerate(rem):
-            terms = comp.terms
             n = 0
-            for (a, bb), coeff in terms:
+            for (a, bb), coeff in comp.terms:
                 if bb != b:
                     break
                 row[(a, c)] = coeff
                 n += 1
-            blocks.append(terms[:n])
+            lengths.append(n)
         if _linalg.reduce_vector(row, L.level(b).pivot_rows):
             return Verdict.NOT_IN
-        rem = [comp - Local2DElement(fld, block) for comp, block in zip(rem, blocks)]
+        for c, n in enumerate(lengths):
+            if n:
+                comp = rem[c]
+                rem[c] = comp - Local2DElement(fld, comp.terms[:n])
 
 
 def _route_check(L: LayeredSubspace, vec) -> str:

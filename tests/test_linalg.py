@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import dense_rank, row_scan_reduce, two_pass_echelon
 from ribbonlab import _linalg
@@ -17,6 +17,10 @@ def in_field(field, row):
 @settings(max_examples=200, deadline=None)
 @given(field=st.sampled_from([QQ, Field(31), Field(2 ** 31 - 1)]), rows=st.lists(ROWS, max_size=8),
        extra=ROWS, multiples=st.lists(st.integers(-3, 3), max_size=8))
+# v's zero entries, pinned as inputs: a zero at a key that subtracting the row
+# writes (the remainder is {(1, 0): -6}, not {}), and a zero at the pivot key
+@example(field=QQ, rows=[{(0, 0): 1, (1, 0): 2}], extra={(0, 0): 3, (1, 0): 0}, multiples=[])
+@example(field=QQ, rows=[{(0, 0): 1, (1, 0): 2}], extra={(0, 0): 0, (1, 0): 3}, multiples=[])
 def test_reduce_vector_matches_row_scan(field, rows, extra, multiples):
     basis = _linalg.echelon([in_field(field, row) for row in rows])
     # a combination of basis rows plus terms on and off the pivots

@@ -305,6 +305,30 @@ def test_witness_rule_is_layered_membership_on_non_split_witness():
     assert layered_membership(L, mono(0, 0)) is Verdict.IN
 
 
+def test_rank_two_walk_subtracts_one_lift_per_block(monkeypatch):
+    # component 0 has terms at t^0 and t^1, component 1 only at t^2 < t_top,
+    # so the walk meets three (level, component) blocks that hold terms
+    w = Window2D(-1, 4, -4, 4, 1, 1)
+    row0 = (LaurentPoly.from_dict(QQ, {-1: 1, 0: 2}), LaurentPoly.from_dict(QQ, {}))
+    row1 = (LaurentPoly.from_dict(QQ, {}), LaurentPoly.from_dict(QQ, {-1: 1, 1: -1}))
+    level = echelonize([row0, row1], 2, w.u_lo, w.u_hi, False, field=QQ)
+    L = LayeredSubspace(QQ, 2, w, tuple((b, level) for b in range(w.t_lo, w.t_hi)), ())
+    comp0 = Local2DElement.from_dict(QQ, {(-1, 0): 1, (0, 0): 2, (-1, 1): 3, (0, 1): 6})
+    vec = (comp0, Local2DElement.from_dict(QQ, {(-1, 2): 5, (1, 2): -5}))
+    moved = (comp0, Local2DElement.from_dict(QQ, {(-1, 2): 5, (1, 1): -5}))
+    calls = []
+    sub = Local2DElement.__sub__
+
+    def counting_sub(self, other):
+        calls.append(len(other.terms))
+        return sub(self, other)
+
+    monkeypatch.setattr(Local2DElement, "__sub__", counting_sub)
+    assert layered_membership(L, vec) is Verdict.IN is slicewise_membership(L, vec)
+    assert calls == [2, 2, 2]
+    assert layered_membership(L, moved) is Verdict.NOT_IN is slicewise_membership(L, moved)
+
+
 def test_layered_membership_soundness_vs_brute_force():
     rng = random.Random(77)
     w = Window2D(-2, 2, -3, 3, 0, 1)
