@@ -8,7 +8,9 @@ linearly compact and the index finite.
 
 Rows are vectors of Laurent polynomials.  The ambient basis is indexed by
 (exponent, component) in exponent-major order, so a row's pivot is its lowest
-u-order term and the pivot profile is the gap sequence of the subspace.
+u-order term and the pivot profile is the gap sequence of the subspace.  A
+vector enters the model only through ``_row``, which ``echelonize`` and
+``membership`` share.
 """
 
 from __future__ import annotations
@@ -84,33 +86,38 @@ class WindowedSubspace:
                           json_int(obj["u_hi"], "u_hi"), obj["full_below"], field=field)
 
 
+def _row(vec: Sequence[LaurentPoly], r: int, field: Field, u_lo: int, u_hi: int,
+         full_below: bool) -> dict:
+    """Admit a vector into the window as a row dict {(exponent, component): coefficient}.
+
+    The model's one admission rule, checked in this order: r components; every
+    component over ``field``; every term in [u_lo, u_hi), except that with
+    full_below set a term below u_lo is dropped, since the modeled tail
+    absorbs it.
+    """
+    if len(vec) != r:
+        raise SupportViolationError(f"vector has {len(vec)} components, expected {r}")
+    for poly in vec:
+        if poly.field is not field and poly.field != field:
+            raise FieldMismatchError(f"component over {poly.field.tag} in a {field.tag} space")
+    row = {}
+    for c, poly in enumerate(vec):
+        for e, coeff in poly.coeffs:
+            if u_lo <= e < u_hi:
+                row[(e, c)] = coeff
+            elif e >= u_hi or not full_below:
+                raise SupportViolationError(f"exponent {e} outside window [{u_lo}, {u_hi})")
+    return row
+
+
 def echelonize(rows: Sequence[Sequence[LaurentPoly]], r: int, u_lo: int, u_hi: int,
                full_below: bool, field: Field) -> WindowedSubspace:
     """Reduced echelon form of the span of the given vectors inside the window.
 
-    With full_below set, terms below u_lo are absorbable into the modeled tail
-    and are discarded before elimination.  Support at or above u_hi is an error,
-    and so is a component over a field other than ``field``.
+    Each vector is admitted by ``_row``, so with full_below set its terms
+    below u_lo are discarded before elimination.
     """
-    dict_rows = []
-    for vec in rows:
-        if len(vec) != r:
-            raise SupportViolationError(f"vector has {len(vec)} components, expected {r}")
-        for poly in vec:
-            if poly.field is not field and poly.field != field:
-                raise FieldMismatchError(f"component over {poly.field.tag} in a {field.tag} space")
-        kept = {}
-        for c, poly in enumerate(vec):
-            for e, coeff in poly.coeffs:
-                if e >= u_hi:
-                    raise SupportViolationError(f"exponent {e} at or above window top {u_hi}")
-                if e < u_lo:
-                    if not full_below:
-                        raise SupportViolationError(f"exponent {e} below window bottom {u_lo}")
-                    continue  # absorbed by the full below-window tail
-                kept[(e, c)] = coeff
-        dict_rows.append(kept)
-    basis = _linalg.echelon(dict_rows)
+    basis = _linalg.echelon([_row(vec, r, field, u_lo, u_hi, full_below) for vec in rows])
     canon = tuple(tuple(sorted(row.items())) for row in basis)
     return WindowedSubspace(field, r, u_lo, u_hi, full_below, canon)
 
@@ -118,30 +125,14 @@ def echelonize(rows: Sequence[Sequence[LaurentPoly]], r: int, u_lo: int, u_hi: i
 def membership(W: WindowedSubspace, vec: Sequence[LaurentPoly]) -> Verdict:
     """In iff the vector reduces to zero against the rows.
 
-    The vector's support must lie inside the window; terms below u_lo count as
-    zero only through the full_below tail of the rows themselves, a vector
-    poking outside is rejected, and so is a component over another field; a
-    component's exponents are sorted, so only its first and last are compared
-    with the window.  The rows must be in reduced echelon form, which
-    ``echelonize`` guarantees: the reduction reads each row's multiple off the
-    vector's coefficient at that row's pivot.
+    The vector is admitted by ``_row`` without the tail: terms below u_lo count
+    as zero only through the full_below tail of the rows themselves, so a
+    vector poking outside the window is refused.  The rows must be in reduced
+    echelon form, which ``echelonize`` guarantees: the reduction reads each
+    row's multiple off the vector's coefficient at that row's pivot.
     """
-    if len(vec) != W.r:
-        raise SupportViolationError(f"vector has {len(vec)} components, expected {W.r}")
-    for poly in vec:
-        if poly.field is not W.field and poly.field != W.field:
-            raise FieldMismatchError(f"component over {poly.field.tag} in a {W.field.tag} space")
-    u_lo, u_hi = W.u_lo, W.u_hi
-    row = {}
-    for c, poly in enumerate(vec):
-        if poly.coeffs:
-            for e in (poly.coeffs[0][0], poly.coeffs[-1][0]):
-                if not u_lo <= e < u_hi:
-                    raise SupportViolationError(f"exponent {e} outside window [{u_lo}, {u_hi})")
-            for e, coeff in poly.coeffs:
-                row[(e, c)] = coeff
-    rem = _linalg.reduce_vector(row, W.pivot_rows)
-    return Verdict.IN if not rem else Verdict.NOT_IN
+    row = _row(vec, W.r, W.field, W.u_lo, W.u_hi, False)
+    return Verdict.IN if not _linalg.reduce_vector(row, W.pivot_rows) else Verdict.NOT_IN
 
 
 def check_top_margin(W: WindowedSubspace, top_margin: int):

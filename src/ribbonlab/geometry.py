@@ -199,7 +199,12 @@ class NodalCubicRing:
         return out
 
     def mono_mul(self, m1, m2) -> dict:
-        """Product of basis monomials, reduced by y^2 -> x^3 + x^2 (confluent)."""
+        """Product of basis monomials, reduced by y^2 -> x^3 + x^2 (confluent).
+
+        Basis monomials have y-degree at most 1, so a product has y-degree at
+        most 2 and one rewrite reaches normal form; other inputs are outside
+        this contract.
+        """
         a, eps = m1[0] + m2[0], m1[1] + m2[1]
         one = self.field.one
         if eps < 2:
@@ -225,7 +230,8 @@ class NodalCubicRing:
         return self._ideal_window_dim([X, Y])
 
     def point_ideal_sq_dim(self) -> int:
-        return self._ideal_window_dim([(2, 0), (1, 1), (0, 2)])
+        """dim of J_Q^2 ∩ {deg <= D}; J_Q^2 = (x^2, xy, y^2) = (x^2, xy), as y^2 = x^2 (x + 1)."""
+        return self._ideal_window_dim([(2, 0), (1, 1)])
 
 
 def noncoherent_chain(ring: NodalCubicRing, k_max: int, t_lo: int, t_hi: int) -> dict:

@@ -2,8 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -619,11 +621,13 @@ def test_malformed_pair_never_raises(small_pair, data):
     for key in path:
         old = old[key]
     kind = data.draw(st.sampled_from(sorted(set(OTHER_JSON) - {json_type(old)})))
-    bad = tmp / "mutated.json"
-    bad.write_text(json.dumps(set_path(obj, path, data.draw(OTHER_JSON[kind]))))
-    for argv in (["check", str(bad)],
-                 ["report", "hilbert", "--pair", str(bad), "--max-n", "2",
-                  "--out", str(tmp / "h.json")]):
+    # fresh names: overwriting an existing file is far slower than creating one on some filesystems
+    fd, bad = tempfile.mkstemp(suffix=".json", dir=tmp)
+    with os.fdopen(fd, "w") as fh:
+        fh.write(json.dumps(set_path(obj, path, data.draw(OTHER_JSON[kind]))))
+    for argv in (["check", bad],
+                 ["report", "hilbert", "--pair", bad, "--max-n", "2",
+                  "--out", bad + ".h.json"]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(argv)

@@ -110,6 +110,11 @@ def test_membership_window_check_at_both_ends(vector, exponent):
     W = echelonize([], len(vector), -4, 4, True, field=QQ)
     with pytest.raises(SupportViolationError, match=f"exponent {exponent} outside window"):
         membership(W, vector)
+    with pytest.raises(SupportViolationError, match=f"exponent {exponent} outside window"):
+        echelonize([vector], len(vector), -4, 4, False, field=QQ)
+    if exponent < -4:  # with full_below, echelonize drops the term into the modeled tail
+        W = echelonize([vector], len(vector), -4, 4, True, field=QQ)
+        assert W.row_vectors() == [vec(lp({0: 1}))]
 
 
 def test_index_projective_line_profile():
