@@ -44,7 +44,8 @@ def echelon(rows) -> list:
     A remainder already 1 at its least key is kept as it is, without
     scaling: c * 1 = c, and it is ``reduce_vector``'s fresh dict, so neither
     ``rows`` nor any of its dicts is modified or returned.  One is tested on
-    the value, since ``Field.one`` builds a new Scalar on each access.
+    the value: a ``Field`` shares one unit, but arithmetic that comes out
+    to one may build a new Scalar.
     """
     pivots: dict = {}
     for row in rows:

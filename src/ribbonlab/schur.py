@@ -283,7 +283,9 @@ class Router:
     and -2 alike, and a Scalar hashes by its value, so products differing
     only in such an exponent or coefficient share a hash (795 distinct keys
     of the h = 8 twist-1 p2-line pair give 723 hashes).  A collision in
-    ``_seen`` only costs storing a result early.
+    ``_seen`` only costs storing a result early.  On a split pair every
+    coefficient is the field's shared unit, so a memo hit compares a key's
+    coefficients by identity and calls no ``Scalar.__eq__``.
     """
 
     def __init__(self, **sides: LayeredSubspace):
@@ -292,7 +294,7 @@ class Router:
         self._memo = {}
 
     def __call__(self, side: str, vec) -> str:
-        key = (side, tuple(x.terms for x in vec))
+        key = (side, tuple([x.terms for x in vec]))
         h = hash(key)
         if h not in self._seen:
             self._seen.add(h)

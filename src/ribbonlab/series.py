@@ -2,10 +2,13 @@
 
 Everything here is exact and immutable: a rational is a Python int when it
 is integral and an arbitrary-precision Fraction otherwise, and prime-field
-elements are residues.  A Laurent polynomial is a value type, a finite
-sorted map exponent -> nonzero scalar that carries one k((u)) component
-into elimination and pair files; it has no arithmetic of its own.  Ring
-arithmetic, orders included, is ``Local2DElement``'s.
+elements are residues.  Each field has one shared unit: ``Field.scalar``
+returns the same Scalar whenever the stored value is 1, and a product by one
+returns the other factor, so the coefficients of a monomial pair are all one
+object and compare by identity.  A Laurent polynomial is a value type, a
+finite sorted map exponent -> nonzero scalar that carries one k((u))
+component into elimination and pair files; it has no arithmetic of its own.
+Ring arithmetic, orders included, is ``Local2DElement``'s.
 
 The value types ``Scalar``, ``LaurentPoly`` and ``Local2DElement`` are
 frozen dataclasses that declare their own ``__slots__`` and pickle through
@@ -76,7 +79,8 @@ class Field:
         """Coerce an int, Fraction or coefficient string into this field.
 
         Over Q the value is stored as an int when it is integral (``4``,
-        ``Fraction(4, 2)``, ``"4/2"``) and as a Fraction otherwise.  Over F_p
+        ``Fraction(4, 2)``, ``"4/2"``) and as a Fraction otherwise; a stored
+        value 1 gives the field's shared unit, ``one``.  Over F_p
         a fraction whose denominator is divisible by p has no value and is a
         ConfigError.  Anything else, a float or a bool included, is a
         ConfigError: a float is already rounded, and 0.5 would become 0 in F_7.
@@ -90,18 +94,30 @@ class Field:
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise ConfigError(f"coefficient {value!r} is not an integer, fraction or string")
         if self.p is None:
-            return Scalar(self, _rational(value) if isinstance(value, Fraction) else int(value))
+            return self._stored(_rational(value) if isinstance(value, Fraction) else int(value))
         if isinstance(value, Fraction):
             num = value.numerator % self.p
             den = value.denominator % self.p
             if den == 0:
                 raise ConfigError(f"coefficient {value} has a denominator divisible by {self.p}")
-            return Scalar(self, num * pow(den, -1, self.p) % self.p)
-        return Scalar(self, int(value) % self.p)
+            return self._stored(num * pow(den, -1, self.p) % self.p)
+        return self._stored(int(value) % self.p)
+
+    def _stored(self, v) -> "Scalar":
+        """The Scalar with stored value ``v``: the shared unit when ``v`` is 1."""
+        return self._unit if v == 1 else Scalar(self, v)
+
+    @functools.cached_property
+    def _unit(self) -> "Scalar":
+        # built on first use: QQ exists before the Scalar class does
+        return Scalar(self, 1)
 
     def _parse(self, s: str) -> "Scalar":
+        """Read ``"n"`` or ``"n/d"``; ``"n/1"``, how Q writes an integer, needs no Fraction."""
         if "/" in s:
             num, den = s.split("/", 1)
+            if den == "1":
+                return self.scalar(int(num))
             try:
                 return self.scalar(Fraction(int(num), int(den)))
             except ZeroDivisionError:
@@ -119,7 +135,7 @@ class Field:
 
     @property
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return self._unit
 
 
 QQ = Field()

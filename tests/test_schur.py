@@ -18,7 +18,7 @@ from ribbonlab.local2d import Local2DElement, Window2D, ord_t_vector
 from ribbonlab.schur import (LayeredSubspace, Router, SchurPair, _merge, _route_check,
                              check_schur_pair, hilbert_function, layered_membership,
                              point_ideal_check, scalar_times_vector)
-from ribbonlab.series import QQ, Field, LaurentPoly
+from ribbonlab.series import QQ, Field, LaurentPoly, Scalar
 
 W_AC = Window2D(-4, 4, -8, 8, 2, 2)
 
@@ -474,6 +474,26 @@ def test_router_stays_exact_under_hash_collisions():
             for _ in range(3):
                 for p in order:
                     assert route("L", (p,)) == _route_check(L, (p,))
+
+
+def test_monomial_window_check_compares_no_scalars(monkeypatch):
+    # every coefficient of a split pair is its field's shared unit, so a
+    # memo hit on a repeated witness product matches its key's coefficients
+    # by identity (a fresh Scalar per coefficient costs 17,114 __eq__ calls)
+    pair = forward_krichever(make_datum("p2-line", 1), Window2D(-8, 8, -16, 16, 4, 4))
+    want = check_schur_pair(pair)
+    calls = []
+    eq = Scalar.__eq__
+
+    def counting_eq(a, b):
+        calls.append(1)
+        return eq(a, b)
+
+    monkeypatch.setattr(Scalar, "__eq__", counting_eq)
+    got = check_schur_pair(pair)
+    monkeypatch.undo()
+    assert len(calls) == 0
+    assert got == want and got["verdict"] == "pass"
 
 
 def test_merge_takes_the_most_severe_verdict():

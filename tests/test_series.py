@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fixtures import assert_frozen_value
 from ribbonlab.errors import ConfigError, FieldMismatchError
+from ribbonlab.local2d import Local2DElement
 from ribbonlab.series import QQ, Field, LaurentPoly, Scalar
 
 F7 = Field(7)
@@ -198,6 +199,41 @@ def test_product_by_one_returns_the_other_factor():
     for got in (one * c, c * one, c * 1, 1 * c):
         assert got is c and got.value == 2 ** 31 - 4
     assert one * one == one and f.scalar(5) * f.scalar(2) == f.scalar(10)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_unit_is_one_shared_scalar_per_field(field):
+    one = field.one
+    units = [field.scalar(1), field.scalar("1/1"), field.scalar(Fraction(2, 2)), field.one,
+             Local2DElement.one(field).terms[0][1], one * one]
+    if field.p is not None:
+        units.append(field.scalar("8"))
+    assert all(u is one for u in units)
+    assert one.field is field and type(one.value) is int and one.value == 1
+    assert QQ.one != F7.one
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(-10 ** 6, 10 ** 6),
+       d=st.one_of(st.just(1), st.integers(-10 ** 3, 10 ** 3).filter(bool)),
+       field=st.sampled_from([QQ, F7]))
+@example(n=8, d=1, field=F7)  # "n/1" that is the unit
+@example(n=-3, d=-1, field=QQ)  # negative denominator one
+@example(n=3, d=-14, field=F7)  # denominator divisible by p
+@example(n=7, d=14, field=F7)  # 1/2 in lowest terms
+def test_coefficient_strings_parse_as_their_fraction(n, d, field):
+    s, frac = f"{n}/{d}", Fraction(n, d)
+    if field.p is not None and frac.denominator % field.p == 0:
+        for value in (s, frac):
+            with pytest.raises(ConfigError, match=f"divisible by {field.p}"):
+                field.scalar(value)
+    else:
+        a, b = field.scalar(s), field.scalar(frac)
+        assert a == b and type(a.value) is type(b.value)
+        assert (a is field.one) == (a.value == 1)
+    assert field.scalar(f"-0/{d}") == field.zero and not field.scalar("-0/1")
+    with pytest.raises(ConfigError, match="zero denominator"):
+        field.scalar(f"{n}/0")
 
 
 def test_scalar_of_another_field_is_not_coerced():
