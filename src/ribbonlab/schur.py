@@ -34,18 +34,6 @@ from .local2d import Local2DElement, Window2D, ord_t_vector
 from .series import Field, LaurentPoly, json_int
 
 
-def as_vector(x, r: int) -> tuple:
-    """Coerce a bare element to a rank-1 vector; pass vectors through."""
-    if isinstance(x, Local2DElement):
-        if r != 1:
-            raise SupportViolationError("bare element given where a rank-%d vector is needed" % r)
-        return (x,)
-    vec = tuple(x)
-    if len(vec) != r:
-        raise SupportViolationError(f"vector has {len(vec)} components, expected {r}")
-    return vec
-
-
 def scalar_times_vector(a: Local2DElement, vec: Sequence[Local2DElement]) -> tuple:
     return tuple([a * x for x in vec])
 
@@ -172,13 +160,15 @@ class SchurPair:
 
 
 def layered_membership(L: LayeredSubspace, x) -> Verdict:
-    """Iterated level-by-level reduction of x against L.
+    """Iterated level-by-level reduction of the vector x against L.
 
-    At each step the t^b-coefficient vector of the remainder is reduced
-    against levels[b]; a nonzero remainder there means NotIn, otherwise the
-    certified level-b representative is subtracted and reduction continues on
-    the strictly higher t-order part.  Reaching the distrusted top margin with
-    a nonzero remainder is Inconclusive.
+    x is a sequence of L.r components, so a rank-1 element is passed as
+    ``(element,)``.  Its rank, field and window are checked first, in that
+    order.  At each step the t^b-coefficient vector of the remainder is
+    reduced against levels[b]; a nonzero remainder there means NotIn,
+    otherwise the certified level-b representative is subtracted and
+    reduction continues on the strictly higher t-order part.  Reaching the
+    distrusted top margin with a nonzero remainder is Inconclusive.
 
     Components are canonical (see ``Local2DElement``), so with b the least
     t-order, the t^b slice of a component is the leading block of its terms.
@@ -196,7 +186,9 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
     t_lo, t_hi, u_lo, u_hi = w.t_lo, w.t_hi, w.u_lo, w.u_hi
     t_top = t_hi - w.m_t
     fld = L.field
-    vec = as_vector(x, L.r)
+    vec = tuple(x)
+    if len(vec) != L.r:
+        raise SupportViolationError(f"vector has {len(vec)} components, expected {L.r}")
     for comp in vec:
         if comp.field is not fld and comp.field != fld:
             raise FieldMismatchError(f"{comp.field.tag} vs {fld.tag}")
@@ -269,10 +261,12 @@ def _route_check(L: LayeredSubspace, vec) -> str:
 
 
 class Router:
-    """``_route_check`` over the named sides of one closure scan, memoised.
+    """``_route_check`` against one side of a closure scan, memoised.
 
-    A result is keyed by side name and exact product, so equal products on
-    different sides never share a verdict.  Witness products repeat heavily
+    A result is keyed by the exact product, the tuple of its components'
+    terms; each side has its own router, so equal products on different
+    sides never share a verdict, and no key holds a string, so the router's
+    state does not depend on the hash seed.  Witness products repeat heavily
     on split pairs and hardly at all on perturbed ones, so a result is stored
     only once its key is routed a second time: ``_seen`` holds the hashes of
     keys routed once.  Storing every first-sight key instead held about
@@ -281,27 +275,28 @@ class Router:
 
     The memo matches full keys, because hashes collide: CPython hashes -1
     and -2 alike, and a Scalar hashes by its value, so products differing
-    only in such an exponent or coefficient share a hash (795 distinct keys
-    of the h = 8 twist-1 p2-line pair give 723 hashes).  A collision in
-    ``_seen`` only costs storing a result early.  On a split pair every
-    coefficient is the field's shared unit, so a memo hit compares a key's
-    coefficients by identity and calls no ``Scalar.__eq__``.
+    only in such an exponent or coefficient share a hash (on the h = 8
+    twist-1 p2-line pair, 390 distinct A-side keys give 355 hashes, and 405
+    W-side keys give 368).  A collision in ``_seen`` only costs storing a
+    result early.  On a split pair every coefficient is the field's shared
+    unit, so a memo hit compares a key's coefficients by identity and calls
+    no ``Scalar.__eq__``.
     """
 
-    def __init__(self, **sides: LayeredSubspace):
-        self.sides = sides
+    def __init__(self, L: LayeredSubspace):
+        self.L = L
         self._seen = set()
         self._memo = {}
 
-    def __call__(self, side: str, vec) -> str:
-        key = (side, tuple([x.terms for x in vec]))
+    def __call__(self, vec) -> str:
+        key = tuple([x.terms for x in vec])
         h = hash(key)
         if h not in self._seen:
             self._seen.add(h)
-            return _route_check(self.sides[side], vec)
+            return _route_check(self.L, vec)
         res = self._memo.get(key)
         if res is None:
-            res = self._memo[key] = _route_check(self.sides[side], vec)
+            res = self._memo[key] = _route_check(self.L, vec)
         return res
 
 
@@ -383,9 +378,10 @@ def check_schur_pair(pair: SchurPair) -> dict:
     any escape or window-too-small makes the overall verdict inconclusive,
     and so does a trusted level row the side's witnesses do not span
     (``_unwitnessed_rows``): closure went unverified there.
-    Repeated products reuse an earlier routing result (see ``Router``), but
-    every occurrence is tallied and every failing occurrence keeps its own
-    label, formatted from its indices only when it fails.  The report is the
+    Each side has its own ``Router``, so a repeated product reuses an earlier
+    routing result of its own side only, but every occurrence is tallied and
+    every failing occurrence keeps its own label, formatted from its indices
+    only when it fails.  The report is the
     dict ``check`` prints: the verdicts, ``unit`` (how 1 routed), ``levels``
     (the ``level_index_rows``), ``tallies``, ``failures`` and ``unwitnessed``.
     """
@@ -394,10 +390,10 @@ def check_schur_pair(pair: SchurPair) -> dict:
     failures = []
     tallies = {"checked": 0, "deferred": 0, "escaped": 0}
     outcomes = {"A": set(), "W": set()}
-    route = Router(A=A, W=W)
+    routers = {"A": Router(A), "W": Router(W)}
 
     def run(side, vec, label, *ix):
-        res = route(side, vec)
+        res = routers[side](vec)
         outcomes[side].add(res)
         tallies["checked" if res in ("in", "not-in") else res] += 1
         if res == "not-in":

@@ -26,11 +26,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from test_schur import F_MERSENNE, W_GROWN, perturbed_witnesses
+from perturbed import perturbed_pair
 from ribbonlab.cli import main
 from ribbonlab.geometry import forward_krichever, make_datum
 from ribbonlab.local2d import Window2D
-from ribbonlab.schur import LayeredSubspace, SchurPair
 from ribbonlab.series import Field
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -93,14 +92,7 @@ def write_inputs(cwd: Path):
     (cwd / "float.json").write_text(json.dumps(obj), encoding="utf-8")
     rng = random.Random(PERTURBED_SEED)
     for i in range(PERTURBED):
-        m = i % 4
-        base = forward_krichever(make_datum("p2-line", m), W_GROWN, F_MERSENNE)
-        A, M = base.algebra, base.module
-        pair = SchurPair(
-            LayeredSubspace(A.field, 1, A.window, A.levels,
-                            perturbed_witnesses(rng, A, 0, i in PLANTED)),
-            LayeredSubspace(M.field, 1, M.window, M.levels,
-                            perturbed_witnesses(rng, M, m, False)))
+        pair = perturbed_pair(rng, i % 4, i in PLANTED)
         (cwd / f"perturbed-{i}.json").write_text(json.dumps(pair.to_json(), sort_keys=True),
                                                  encoding="utf-8")
 

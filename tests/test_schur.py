@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -8,6 +12,7 @@ from hypothesis import event, given, settings, strategies as st
 from fixtures import pair_equal_in_window, t_slice
 from oracles import (brute_membership, dense_closure, graded_dimension, graded_slice,
                      random_windowed_rows, slicewise_membership)
+from perturbed import F_MERSENNE, W_GROWN, perturbed_pair
 from ribbonlab import schur
 from ribbonlab.errors import (ConfigError, FieldMismatchError,
                               RangeViolationError, SupportViolationError,
@@ -38,25 +43,25 @@ def monomial_level(bound, w, field=QQ):
 
 
 def test_layered_membership_zero_is_in(p2_pair):
-    assert layered_membership(p2_pair.algebra, Local2DElement(QQ)) is Verdict.IN
+    assert layered_membership(p2_pair.algebra, (Local2DElement(QQ),)) is Verdict.IN
 
 
 def test_layered_membership_reduction_oracle(p2_pair):
     # level-0 space is span{u^a : a <= 0}, so u t^0 cannot reduce
-    assert layered_membership(p2_pair.algebra, mono(1, 0)) is Verdict.NOT_IN
-    assert layered_membership(p2_pair.algebra, mono(-1, 0) + mono(-3, 1)) is Verdict.IN
+    assert layered_membership(p2_pair.algebra, (mono(1, 0),)) is Verdict.NOT_IN
+    assert layered_membership(p2_pair.algebra, (mono(-1, 0) + mono(-3, 1),)) is Verdict.IN
 
 
 def test_layered_membership_margin_exhaustion(p2_pair):
     x = mono(-5, 2) + mono(-5, 3)  # entirely at t-orders >= t_hi - m_t
-    assert layered_membership(p2_pair.algebra, x) is Verdict.INCONCLUSIVE
+    assert layered_membership(p2_pair.algebra, (x,)) is Verdict.INCONCLUSIVE
 
 
 def test_layered_membership_support_violation(p2_pair):
     with pytest.raises(SupportViolationError):
-        layered_membership(p2_pair.algebra, mono(-9, 0))
+        layered_membership(p2_pair.algebra, (mono(-9, 0),))
     with pytest.raises(SupportViolationError):
-        layered_membership(p2_pair.algebra, mono(0, -5))
+        layered_membership(p2_pair.algebra, (mono(0, -5),))
 
 
 def test_layered_membership_refuses_a_vector_of_another_rank(p2_pair):
@@ -65,8 +70,8 @@ def test_layered_membership_refuses_a_vector_of_another_rank(p2_pair):
     w = p2_pair.window
     zero = echelonize([], 2, w.u_lo, w.u_hi, False, field=QQ)
     rank_two = LayeredSubspace(QQ, 2, w, tuple((b, zero) for b in range(w.t_lo, w.t_hi)))
-    with pytest.raises(SupportViolationError, match="bare element given where a rank-2"):
-        layered_membership(rank_two, mono(0, 0))
+    with pytest.raises(SupportViolationError, match="1 components, expected 2"):
+        layered_membership(rank_two, (mono(0, 0),))
 
 
 def test_check_passes_on_plane_pair(p2_pair):
@@ -301,8 +306,8 @@ def test_witness_rule_is_layered_membership_on_non_split_witness():
     L = LayeredSubspace(QQ, 1, w, ((0, level0), (1, level1)), ((g,),))
     with pytest.raises(ConfigError):
         L.validate_witnesses()
-    assert layered_membership(L, g) is Verdict.NOT_IN
-    assert layered_membership(L, mono(0, 0)) is Verdict.IN
+    assert layered_membership(L, (g,)) is Verdict.NOT_IN
+    assert layered_membership(L, (mono(0, 0),)) is Verdict.IN
 
 
 def test_rank_two_walk_subtracts_one_lift_per_block(monkeypatch):
@@ -342,7 +347,7 @@ def test_layered_membership_soundness_vs_brute_force():
         for _ in range(rng.randint(0, 4)):
             d[(rng.randint(w.u_lo, w.u_hi - 1), rng.randint(w.t_lo, w.t_hi - 1))] = rng.randint(-4, 4)
         x = Local2DElement.from_dict(QQ, d)
-        verdict = layered_membership(L, x)
+        verdict = layered_membership(L, (x,))
         if verdict is Verdict.IN:
             for b in sorted({b for (_a, b), _c in x.terms}):
                 lvl = L.level(b)
@@ -467,13 +472,13 @@ def test_router_stays_exact_under_hash_collisions():
         (mono(0, 0) + mono(1, 0, -1), mono(0, 0) + mono(1, 0, -2)),
     ]
     for x, y in cases:
-        assert hash(("L", (x.terms,))) == hash(("L", (y.terms,)))
+        assert hash((x.terms,)) == hash((y.terms,))
         assert [_route_check(L, (x,)), _route_check(L, (y,))] == ["in", "not-in"]
         for order in ((x, y), (y, x)):
-            route = Router(L=L)
+            route = Router(L)
             for _ in range(3):
                 for p in order:
-                    assert route("L", (p,)) == _route_check(L, (p,))
+                    assert route((p,)) == _route_check(L, (p,))
 
 
 def test_monomial_window_check_compares_no_scalars(monkeypatch):
@@ -674,15 +679,14 @@ def test_layered_membership_coerces_nothing(monkeypatch):
     monkeypatch.setattr(Local2DElement, "from_dict", staticmethod(counting_from_dict))
     monkeypatch.setattr(Field, "scalar", counting_scalar)
     monkeypatch.setattr(LaurentPoly, "__init__", counting_laurent_init)
-    assert layered_membership(L, x) is Verdict.IN
+    assert layered_membership(L, (x,)) is Verdict.IN
     assert calls == {"from_dict": 0, "scalar": 0, "LaurentPoly": 0}
     monkeypatch.undo()
     assert lift_and_subtract(L, (x,)) is Verdict.IN
     with pytest.raises(FieldMismatchError):
-        layered_membership(L, Local2DElement.from_dict(Field(7), {(0, 0): 1}))
+        layered_membership(L, (Local2DElement.from_dict(Field(7), {(0, 0): 1}),))
 
 
-F_MERSENNE = Field(2 ** 31 - 1)
 # nonzero in both fields; 2^30 and 2^31 - 2 make F_(2^31-1) products wrap
 NONZERO = st.sampled_from([-3, -2, -1, 1, 2, 3, 2 ** 30, 2 ** 31 - 2])
 
@@ -835,9 +839,6 @@ def test_check_passes_only_pairs_the_dense_closure_oracle_passes(pair):
         assert dense_closure(pair)
 
 
-W_GROWN = Window2D(-6, 6, -12, 12, 3, 3)
-
-
 def regrow(pair, datum, w):
     """The pair at the larger window w: forward levels of w, the pair's own
     witnesses in their order, then the forward witnesses of w not among them."""
@@ -846,6 +847,21 @@ def regrow(pair, datum, w):
     for L, F in ((pair.algebra, grown.algebra), (pair.module, grown.module)):
         extra = tuple(g for g in F.generators if g not in L.generators)
         sides.append(LayeredSubspace(L.field, L.r, w, F.levels, L.generators + extra))
+    return SchurPair(*sides, meta=pair.meta)
+
+
+def restrict(pair, datum, w):
+    """The pair at the smaller window w: forward levels of w and the pair's
+    witnesses, in their order, whose every term lies in w's interior."""
+    small = forward_krichever(datum, w, pair.algebra.field)
+    inner = w.interior()
+
+    def inside(vec):
+        return all(inner.u_lo <= a < inner.u_hi and inner.t_lo <= b < inner.t_hi
+                   for x in vec for (a, b), _c in x.terms)
+
+    sides = [LayeredSubspace(L.field, L.r, w, F.levels, tuple(g for g in L.generators if inside(g)))
+             for L, F in ((pair.algebra, small.algebra), (pair.module, small.module))]
     return SchurPair(*sides, meta=pair.meta)
 
 
@@ -869,42 +885,77 @@ def test_verdict_survives_window_growth(kind, twist, planted):
     assert small["verdict"] == "fail" or not planted
 
 
-def perturbed_witnesses(rng, L, limit, planted):
-    """L's monomial witnesses u^a t^b, each with one or two extra terms c u^a' t^b'
-    of its own side (a' + b' <= limit) with b < b' <= b + 2 inside the interior;
-    witnesses on the top interior level have no room and stay monomial.  With
-    ``planted`` one witness also gets a trusted term with a' + b' > limit."""
-    inner, p = L.window.interior(), L.field.p
-    out = []
-    for (x,) in L.generators:
-        ((a, b), c), = x.terms
-        terms = {(a, b): c}
-        top = min(b + 2, inner.t_hi - 1)
-        for _ in range(rng.randint(1, 2) if top > b else 0):
-            b2 = rng.randint(b + 1, top)
-            a2 = rng.randint(inner.u_lo, min(inner.u_hi - 1, limit - b2))
-            terms.setdefault((a2, b2), rng.randint(1, p - 1))
-        out.append(terms)
-    if planted:
-        i = rng.choice([i for i, t in enumerate(out) if min(b for _a, b in t) + 1 < inner.t_hi])
-        b2 = min(b for _a, b in out[i]) + 1
-        out[i][rng.randint(max(inner.u_lo, limit - b2 + 1), inner.u_hi - 1), b2] = 1
-    return tuple((Local2DElement.from_dict(L.field, t),) for t in out)
-
-
 @pytest.mark.parametrize("twist,planted,seed", [(0, False, 1), (1, False, 2), (0, True, 3),
                                                 (2, True, 4)])
 def test_verdict_survives_window_growth_on_perturbed_pairs(twist, planted, seed):
     # ROADMAP item 9 on non-monomial witnesses over F_(2^31-1)
-    rng = random.Random(seed)
-    datum = make_datum("p2-line", twist)
-    base = forward_krichever(datum, W_GROWN, F_MERSENNE)
-    A, M = base.algebra, base.module
-    pair = SchurPair(
-        LayeredSubspace(A.field, 1, A.window, A.levels, perturbed_witnesses(rng, A, 0, planted)),
-        LayeredSubspace(M.field, 1, M.window, M.levels, perturbed_witnesses(rng, M, twist, False)))
+    pair = perturbed_pair(random.Random(seed), twist, planted)
     small = check_schur_pair(pair)
-    big = check_schur_pair(regrow(pair, datum, Window2D(-7, 7, -14, 14, 4, 4)))
+    big = check_schur_pair(regrow(pair, make_datum("p2-line", twist),
+                                  Window2D(-7, 7, -14, 14, 4, 4)))
     assert small["verdict"] == ("fail" if planted else "pass")
     assert big["verdict"] == small["verdict"]
     assert set(small["failures"]) <= set(big["failures"])
+
+
+@pytest.mark.parametrize("kind,twist,escaped", [("p2-line", -1, 205), ("p2-line", 0, 229),
+                                                ("p2-line", 1, 253), ("nilpotent", 0, 155)])
+def test_escapes_resolve_at_a_larger_window(kind, twist, escaped):
+    # ROADMAP item 9: at margins 0 products escape the small window, and the
+    # inconclusive verdict they cause resolves once the window grows
+    datum = make_datum(kind, twist)
+    pair = forward_krichever(datum, Window2D(-2, 2, -4, 4, 0, 0))
+    small = check_schur_pair(pair)
+    assert (small["verdict"], small["tallies"]["escaped"]) == ("inconclusive", escaped)
+    big = check_schur_pair(regrow(pair, datum, W_AC))
+    assert (big["verdict"], big["tallies"]["escaped"]) == ("pass", 0)
+
+
+@pytest.mark.parametrize("twist,seed", [(0, 1), (1, 2), (2, 5), (3, 6)])
+def test_restriction_to_a_smaller_window_never_fails(twist, seed):
+    # ROADMAP item 9: a pass pair restricted to a smaller admissible window
+    # loses witnesses and trusted rows, which may leave rows unwitnessed,
+    # but no product of the witnesses it keeps may leave the smaller pair
+    datum = make_datum("p2-line", twist)
+    pair = perturbed_pair(random.Random(seed), twist, False)
+    assert check_schur_pair(pair)["verdict"] == "pass"
+    for w in (W_AC, Window2D(-5, 5, -10, 10, 2, 2), Window2D(-4, 4, -8, 8, 1, 1)):
+        rep = check_schur_pair(restrict(pair, datum, w))
+        assert rep["verdict"] != "fail" and rep["failures"] == []
+
+
+SEEN_SCRIPT = """
+import json
+from ribbonlab import schur
+from ribbonlab.geometry import forward_krichever, make_datum
+from ribbonlab.local2d import Window2D
+
+routers = []
+
+
+class Captured(schur.Router):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        routers.append(self)
+
+
+schur.Router = Captured
+schur.check_schur_pair(forward_krichever(make_datum("p2-line", 1),
+                                         Window2D(-8, 8, -16, 16, 4, 4)))
+print(json.dumps([[sorted(r._seen), len(r._memo)] for r in routers]))
+"""
+
+
+def test_router_state_does_not_depend_on_the_hash_seed():
+    # no memo key holds a string, so which repeated product is stored first,
+    # and with it every router's state, is the same in every process
+    src = str(Path(schur.__file__).parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", SEEN_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
+    assert [n for _seen, n in outs[0]] == [378, 401]  # memo entries per side
