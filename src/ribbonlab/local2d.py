@@ -114,9 +114,10 @@ class Local2DElement:
 
         Subtracting an element whose terms equal a leading block of self's
         returns self's remaining terms as they are, with no coefficient
-        touched: that is ``layered_membership``'s lift subtraction.  The test
-        compares terms exactly; any other sum or difference adds the
-        coefficients key by key and ends in ``_canonical``.
+        touched: ``layered_membership`` drops the terms it reduced, those
+        below the top t-margin, that way.  The test compares terms exactly;
+        any other sum or difference adds the coefficients key by key and ends
+        in ``_canonical``.
         """
         self._check(other)
         x, y = self.terms, other.terms

@@ -4,9 +4,10 @@ A LayeredSubspace models a subspace L of k((u))((t))^r inside a rectangular
 window as the direct sum of t^b * levels[b], one WindowedSubspace per t-level
 b, plus a finite list of generator vectors kept as closure witnesses.  Levels
 are authoritative.  A witness is checked against L by the same rule that the
-Schur check applies to products, ``layered_membership``, which reads each
-t-slice straight from the terms.  The Schur check certifies closure only
-where ``membership`` puts each trusted level row in the witnesses' span.
+Schur check applies to products, ``layered_membership``: one reduction of the
+vector's terms against ``pivot_index``, every level's rows keyed t-major.  The
+Schur check certifies closure only where ``membership`` puts each trusted
+level row in the witnesses' span.
 
 Membership is three-valued.  Truncation must distinguish "provably outside"
 from "escaped the window", so reductions that reach the distrusted top margin
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import _linalg
@@ -73,6 +75,17 @@ class LayeredSubspace:
 
     def level(self, b: int) -> WindowedSubspace:
         return self._by_b[b]
+
+    @cached_property
+    def pivot_index(self) -> dict:
+        """{(b, a, c): row re-keyed (b, a2, c2)}: every level below the top t-margin at once.
+
+        The levels' reduced rows share no key across levels, so their union,
+        keyed t-major, is a reduced echelon basis of L below the margin.
+        """
+        t_top = self.window.t_trusted_hi
+        return {(b,) + row[0][0]: {(b, a, c): x for (a, c), x in row}
+                for b, lvl in self.levels if b < t_top for row in lvl.rows}
 
     def validate_witnesses(self):
         """Raise ConfigError if ``layered_membership`` puts a generator outside L.
@@ -160,27 +173,24 @@ class SchurPair:
 
 
 def layered_membership(L: LayeredSubspace, x) -> Verdict:
-    """Iterated level-by-level reduction of the vector x against L.
+    """One reduction of the vector x against L's ``pivot_index``.
 
     x is a sequence of L.r components, so a rank-1 element is passed as
     ``(element,)``.  Its rank, field and window are checked first, in that
-    order.  At each step the t^b-coefficient vector of the remainder is
-    reduced against levels[b]; a nonzero remainder there means NotIn,
-    otherwise the certified level-b representative is subtracted and
-    reduction continues on the strictly higher t-order part.  Reaching the
-    distrusted top margin with a nonzero remainder is Inconclusive.
+    order.  L is the direct sum of t^b * levels[b], so x is in L exactly when
+    each t^b slice of x is in levels[b].  The terms below the distrusted top
+    t-margin are collected into one row {(b, a, component): coefficient} and
+    reduced with ``_linalg.reduce_vector``; rows of different levels share no
+    key, so that is every slice's own reduction at once, and a nonzero
+    remainder means NotIn.  Otherwise the terms at or above the margin are
+    left: Inconclusive if there are any, else In.
 
-    Components are canonical (see ``Local2DElement``), so with b the least
-    t-order, the t^b slice of a component is the leading block of its terms.
-    The scan for the block's end collects the slice as a row {(a, component):
-    coefficient} and reduces it with ``_linalg.reduce_vector`` against the
-    level's ``pivot_rows``, as ``fredholm.membership`` would, but with no
-    slice polynomial and no second window check: every term passed the
-    window check on entry.  The scan records each block's length, and the
-    walk subtracts a lift t^b * slice only from a component whose block is
-    not empty; a component with no term at b keeps its terms as they are.
-    The lift is the component's own leading block, so subtracting it drops
-    that block without arithmetic (see ``Local2DElement._merge``).
+    Components are canonical (see ``Local2DElement``), so the terms below the
+    margin are a leading block of each component's terms.  What is left is
+    the component minus the lift of that block, subtracted only from a
+    component whose block is not empty; the lift is the component's own
+    leading block, so the subtraction drops it without arithmetic (see
+    ``Local2DElement._merge``).
     """
     w = L.window
     t_lo, t_hi, u_lo, u_hi = w.t_lo, w.t_hi, w.u_lo, w.u_hi
@@ -189,39 +199,23 @@ def layered_membership(L: LayeredSubspace, x) -> Verdict:
     vec = tuple(x)
     if len(vec) != L.r:
         raise SupportViolationError(f"vector has {len(vec)} components, expected {L.r}")
-    for comp in vec:
+    row, lengths = {}, []
+    for c, comp in enumerate(vec):
         if comp.field is not fld and comp.field != fld:
             raise FieldMismatchError(f"{comp.field.tag} vs {fld.tag}")
-        for (a, b), _c in comp.terms:
+        n = 0
+        for (a, b), coeff in comp.terms:
             if not (u_lo <= a < u_hi and t_lo <= b < t_hi):
                 raise SupportViolationError(f"term u^{a} t^{b} outside the window")
-    rem = list(vec)
-    while True:
-        b = t_hi  # above every term: each passed the window check
-        for comp in rem:
-            if comp.terms:
-                bb = comp.terms[0][0][1]
-                if bb < b:
-                    b = bb
-        if b == t_hi:
-            return Verdict.IN
-        if b >= t_top:
-            return Verdict.INCONCLUSIVE
-        row, lengths = {}, []
-        for c, comp in enumerate(rem):
-            n = 0
-            for (a, bb), coeff in comp.terms:
-                if bb != b:
-                    break
-                row[(a, c)] = coeff
+            if b < t_top:
+                row[(b, a, c)] = coeff
                 n += 1
-            lengths.append(n)
-        if _linalg.reduce_vector(row, L.level(b).pivot_rows):
-            return Verdict.NOT_IN
-        for c, n in enumerate(lengths):
-            if n:
-                comp = rem[c]
-                rem[c] = comp - Local2DElement(fld, comp.terms[:n])
+        lengths.append(n)
+    if _linalg.reduce_vector(row, L.pivot_index):
+        return Verdict.NOT_IN
+    rest = [comp - Local2DElement(fld, comp.terms[:n]) if n else comp
+            for comp, n in zip(vec, lengths)]
+    return Verdict.INCONCLUSIVE if any(rest) else Verdict.IN
 
 
 def _route_check(L: LayeredSubspace, vec) -> str:
@@ -233,8 +227,9 @@ def _route_check(L: LayeredSubspace, vec) -> str:
     a full_below level absorbs are dropped.  What is left is 'in' if it is
     zero, 'deferred' if a term lies in a margin band (the margins exist to
     absorb exactly these), and otherwise the ``layered_membership`` verdict,
-    'in' or 'not-in'.  That verdict is never inconclusive here: subtracting a
-    lift removes one t-slice, so every t-order reduced is below t_trusted_hi.
+    'in' or 'not-in'.  That verdict is never inconclusive here: a term at or
+    above t_trusted_hi lies in the t-margin band, so it made the product
+    'deferred' first.
     A component that lost no term is passed on as it is.
     """
     w = L.window

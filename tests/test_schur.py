@@ -230,6 +230,19 @@ def test_point_ideal_gap_fails():
     assert rep["jumps"] == [0, 1, 1, 1]
 
 
+def test_point_ideal_fails_on_jumps_above_one():
+    # rank 2, two pivots per exponent: every jump is 2, not 1
+    w = Window2D(0, 1, -8, 8, 0, 2)
+    zero = LaurentPoly.from_dict(QQ, {})
+    rows = [vec for a in range(-8, 1) for vec in ((LaurentPoly.monomial(QQ, a), zero),
+                                                   (zero, LaurentPoly.monomial(QQ, a)))]
+    L = LayeredSubspace(QQ, 2, w, ((0, echelonize(rows, 2, -8, 8, True, field=QQ)),), ())
+    rep = point_ideal_check(L, 4)
+    assert not rep["pass"]
+    assert rep["dims"] == [2, 4, 6, 8, 10]
+    assert rep["jumps"] == [2, 2, 2, 2]
+
+
 def test_point_ideal_n_zero_boundary(p2_pair):
     rep = point_ideal_check(p2_pair.algebra, 0)
     assert rep["pass"] and rep["dims"] == [1] and rep["jumps"] == []
@@ -310,9 +323,9 @@ def test_witness_rule_is_layered_membership_on_non_split_witness():
     assert layered_membership(L, (mono(0, 0),)) is Verdict.IN
 
 
-def test_rank_two_walk_subtracts_one_lift_per_block(monkeypatch):
-    # component 0 has terms at t^0 and t^1, component 1 only at t^2 < t_top,
-    # so the walk meets three (level, component) blocks that hold terms
+def test_rank_two_membership_reduces_once_and_subtracts_one_lift_per_component(monkeypatch):
+    # component 0 has terms at t^0 and t^1, component 1 only at t^2 < t_top:
+    # three (level, component) blocks, but one reduction and two lifts
     w = Window2D(-1, 4, -4, 4, 1, 1)
     row0 = (LaurentPoly.from_dict(QQ, {-1: 1, 0: 2}), LaurentPoly.from_dict(QQ, {}))
     row1 = (LaurentPoly.from_dict(QQ, {}), LaurentPoly.from_dict(QQ, {-1: 1, 1: -1}))
@@ -321,17 +334,31 @@ def test_rank_two_walk_subtracts_one_lift_per_block(monkeypatch):
     comp0 = Local2DElement.from_dict(QQ, {(-1, 0): 1, (0, 0): 2, (-1, 1): 3, (0, 1): 6})
     vec = (comp0, Local2DElement.from_dict(QQ, {(-1, 2): 5, (1, 2): -5}))
     moved = (comp0, Local2DElement.from_dict(QQ, {(-1, 2): 5, (1, 1): -5}))
-    calls = []
-    sub = Local2DElement.__sub__
+    subs, reduces = [], []
+    sub, reduce_vector = Local2DElement.__sub__, schur._linalg.reduce_vector
 
     def counting_sub(self, other):
-        calls.append(len(other.terms))
+        subs.append(len(other.terms))
         return sub(self, other)
 
+    def counting_reduce(v, pivots):
+        reduces.append(sorted(v))
+        return reduce_vector(v, pivots)
+
     monkeypatch.setattr(Local2DElement, "__sub__", counting_sub)
+    monkeypatch.setattr(schur._linalg, "reduce_vector", counting_reduce)
+    assert "pivot_index" not in vars(L)
     assert layered_membership(L, vec) is Verdict.IN is slicewise_membership(L, vec)
-    assert calls == [2, 2, 2]
+    index = vars(L)["pivot_index"]
+    assert subs == [4, 2]
+    assert reduces == [[(0, -1, 0), (0, 0, 0), (1, -1, 0), (1, 0, 0), (2, -1, 1), (2, 1, 1)]]
     assert layered_membership(L, moved) is Verdict.NOT_IN is slicewise_membership(L, moved)
+    assert len(reduces) == 2 and subs == [4, 2]  # a NotIn verdict subtracts no lift
+    assert vars(L)["pivot_index"] is index
+    # t^3 is the top margin: its level is not indexed
+    assert sorted(L.pivot_index) == [(b, a, c) for b in range(w.t_lo, w.t_hi - w.m_t)
+                                     for a, c in ((-1, 0), (-1, 1))]
+    assert L.pivot_index[(2, -1, 1)] == {(2, -1, 1): QQ.one, (2, 1, 1): -QQ.one}
 
 
 def test_layered_membership_soundness_vs_brute_force():
@@ -798,6 +825,34 @@ def test_witness_free_pair_names_every_trusted_row():
     assert rep["verdict"] == "inconclusive" and rep["tallies"]["checked"] == 1
     named = Counter(entry["side"] for entry in rep["unwitnessed"])
     assert named == {"A": 30, "W": 34}
+
+
+def test_a_failure_in_a_square_alone_fails_the_check():
+    # u^0 added to A's level 1 puts t in A, but t * t = t^2 is not in level 2:
+    # the square of witness #1 is the only product that leaves A
+    w = Window2D(-6, 6, -12, 12, 2, 2)
+    pair = forward_krichever(make_datum("p2-line", 0), w)
+    levels = with_level_row(pair.algebra, 1, LaurentPoly.monomial(QQ, 0)).levels
+    A = LayeredSubspace(QQ, 1, w, levels, ((Local2DElement.one(QQ),), (mono(0, 1),)))
+    W = LayeredSubspace(QQ, 1, w, pair.module.levels, ())
+    rep = check_schur_pair(SchurPair(A, W))
+    assert (rep["verdict"], rep["subalgebra"]) == ("fail", "fail")
+    assert rep["failures"] == ["A-product #1*#1 leaves A"]
+
+
+def test_a_failure_in_the_last_module_witness_alone_fails_the_check(p2_pair):
+    # u^1 added to W's level 0, with u^1 t^0 as the last W witness: its
+    # products with the A witnesses u^-b t^b, b != 0, leave W, and no other
+    # product does
+    W = with_level_row(p2_pair.module, 0, LaurentPoly.monomial(QQ, 1))
+    last = len(W.generators)
+    W = LayeredSubspace(QQ, 1, W.window, W.levels, W.generators + ((mono(1, 0),),))
+    rep = check_schur_pair(SchurPair(p2_pair.algebra, W))
+    assert (rep["verdict"], rep["subalgebra"], rep["module_closure"]) == ("fail", "pass", "fail")
+    leaving = [i for i, (g,) in enumerate(p2_pair.algebra.generators)
+               for (a, b), _c in g.terms if a + b == 0 and b != 0]
+    assert len(leaving) == 3
+    assert rep["failures"] == [f"module product A#{i}*W#{last} leaves W" for i in leaving]
 
 
 @st.composite
