@@ -429,9 +429,9 @@ def check_schur_pair(pair: SchurPair) -> dict:
 def hilbert_function(L: LayeredSubspace, j: int, n: int) -> int:
     """dim of (u^-n k[[u]] stack) ∩ (levels 0..j-1), by exponent filtering.
 
-    Valid because every level is full_below and row-supported inside the
-    window: the graded piece is the count of pivots at exponents >= -n.
-    A counted level with a pivot in the top u-margin is WindowTooSmallError.
+    Needs each counted level's rows inside the window and no counted pivot in
+    the top u-margin (WindowTooSmallError there); a full_below tail lies below
+    u_lo <= -n and adds nothing, so the piece counts pivots at exponents >= -n.
     """
     w = L.window
     if j < 1:

@@ -1,11 +1,22 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here recomputes results by a different route than the package:
-dense list-based Gaussian elimination over an explicitly enumerated
-component-major coordinate basis, sparse two-pass elimination, closed-form
+ranks and reduced echelon forms of matrices over an explicitly enumerated
+component-major coordinate basis, a row-by-row sparse reduction, closed-form
 Riemann-Roch counts, the pole-divisor computation on the plane, and a
 ribbon-axiom scan of an algebra side that decides products slice by slice.
 Nothing imports the package's sparse echelon engine or its Schur check.
+
+The oracles read library objects only through their data: ``.terms``,
+``.coeffs``, ``.rows``, ``.value`` and ``.field.p``, and a layered
+subspace's ``window``, ``level()``, ``row_vectors()`` and ``full_below``.
+They compute on plain values, ints and Fractions over Q and residues in
+[0, p) over F_p, and every rank and reduced echelon form is sympy's exact
+``DomainMatrix`` over QQ or GF(p), each matrix built once.  No oracle does
+``Scalar`` arithmetic, so a fault there cannot hide in the oracle too.
+Results come back as plain values: dicts {key: value}, bools and ints.
+Only the input builders (``random_windowed_rows``, ``direct_sum``,
+``graded_slice``) make library values.
 """
 
 from __future__ import annotations
@@ -13,106 +24,85 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
+
 from ribbonlab.errors import RangeViolationError, WindowMismatchError
 from ribbonlab.fredholm import Verdict, WindowedSubspace
-from ribbonlab.local2d import Local2DElement
 from ribbonlab.series import Field, LaurentPoly
 
 
-def dense_rank(matrix) -> int:
-    """Row rank by in-place fraction-free-ish elimination on dense lists."""
-    rows = [list(r) for r in matrix]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col] / pv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+def values(pairs) -> dict:
+    """{key: value} of (key, Scalar) pairs: ``.terms``, ``.coeffs``, a stored row, ``items()``."""
+    return {k: c.value for k, c in pairs}
 
 
-def row_scan_reduce(v: dict, basis: list) -> dict:
-    """Remainder of a sparse row v against an echelon basis, row by row.
+def _reduced(d: dict, p) -> dict:
+    """d with its values reduced mod p (over F_p) and zeros dropped."""
+    out = {}
+    for k, v in d.items():
+        v = v if p is None else v % p
+        if v:
+            out[k] = v
+    return out
+
+
+def _matrix(rows, p) -> DomainMatrix:
+    """Dense rows of plain values, reduced mod p over F_p, as one matrix over QQ or GF(p).
+
+    It is held in sympy's sparse format, zeros left out: on a shared 2-core
+    VM tier-1 took 32 s so, and 50 s on ``DomainMatrix.from_list``'s dense one.
+    """
+    K = QQ if p is None else GF(p)
+    nonzero = {i: {j: K(v) for j, v in enumerate(row) if v}
+               for i, row in enumerate(rows) if any(row)}
+    return DomainMatrix(nonzero, (len(rows), len(rows[0]) if rows else 0), K)
+
+
+def dense_rank(matrix, p) -> int:
+    """Row rank of dense rows of plain values over Q (p None) or F_p."""
+    return _matrix(matrix, p).rank()
+
+
+def dense_rref(rows, p) -> list:
+    """Reduced row echelon basis of sparse rows {key: Scalar}, as plain dict rows.
+
+    Reference for ``_linalg.echelon``: the rows become one dense matrix over
+    their sorted keys, and the nonzero rows of its rref are read back keyed,
+    sorted by pivot.  The reduced form is unique, so the library's basis
+    must equal it key for key.
+    """
+    keys = sorted({k for row in rows for k, c in row.items() if c.value})
+    rref, pivots = _matrix([[row[k].value if k in row else 0 for k in keys] for row in rows],
+                           p).rref()
+    sdm = rref.to_sdm()
+    return [{keys[j]: Fraction(int(x.numerator), int(x.denominator)) if p is None
+             else int(x) % p for j, x in sdm[i].items()} for i in range(len(pivots))]
+
+
+def row_scan_reduce(v: dict, basis: list, p) -> dict:
+    """Remainder of a sparse row v against an echelon basis, row by row, as a plain dict.
 
     Reference for ``_linalg.reduce_vector``: scan the basis in pivot order,
     find each row's pivot with ``min``, and clear the current remainder's
     coefficient there.  Valid for any echelon basis sorted by pivot, reduced
-    or not.
+    or not, whose pivot coefficients are 1.
     """
-    v = {k: c for k, c in v.items() if c}
+    v = _reduced(values(v.items()), p)
     for row in basis:
         c = v.get(min(row))
         if c:
-            v = _minus_multiple(v, c, row)
+            for k, x in row.items():
+                v[k] = v.get(k, 0) - c * x.value
+            v = _reduced(v, p)
     return v
 
 
-def _minus_multiple(row: dict, c, other: dict) -> dict:
-    """row - c * other on sparse dicts, dropping keys that cancel."""
-    out = dict(row)
-    for k, x in other.items():
-        w = out[k] - c * x if k in out else -(c * x)
-        if w:
-            out[k] = w
-        else:
-            del out[k]
-    return out
-
-
-def _inverse(c):
-    """1 / c from its value, without ``Scalar.inverse`` (the method under test)."""
-    p = c.field.p
-    return c.field.scalar(Fraction(1, c.value) if p is None else pow(c.value, -1, p))
-
-
-def two_pass_echelon(rows) -> list:
-    """Reduced row echelon basis by a forward pass and back-substitution.
-
-    Reference for ``_linalg.echelon``, which keeps its basis reduced as rows
-    arrive.  Forward pass: clear each row's least key against the pivot rows
-    found so far until it is zero or opens a new pivot, scaled to 1 there.
-    Then, deepest pivot first, clear every later pivot key from each row.
-    Returns the rows sorted by pivot key.
-    """
-    pivots: dict = {}
-    for row in rows:
-        row = {k: v for k, v in row.items() if v}
-        while row:
-            k = min(row)
-            if k in pivots:
-                row = _minus_multiple(row, row[k], pivots[k])
-            else:
-                inv = _inverse(row[k])
-                pivots[k] = {k2: v * inv for k2, v in row.items()}
-                break
-    keys = sorted(pivots)
-    for i in range(len(keys) - 1, -1, -1):
-        r = pivots[keys[i]]
-        for k2 in keys[i + 1:]:
-            c = r.get(k2)
-            if c:
-                r = _minus_multiple(r, c, pivots[k2])
-        pivots[keys[i]] = r
-    return [pivots[k] for k in keys]
-
-
-def local2d_reference(x: Local2DElement, y: Local2DElement, op: str) -> Local2DElement:
-    """x + y, x - y or x * y on plain dicts of int/Fraction values.
+def local2d_reference(x, y, op: str) -> dict:
+    """x + y, x - y or x * y as a plain dict {(a, b): value}, zeros dropped.
 
     Reference for ``Local2DElement``'s arithmetic: the coefficient values are
-    combined as Python numbers, never as Scalars, and ``from_dict`` then
-    reduces, drops zeros and sorts.  Both inputs must share a field.
+    combined as Python numbers and reduced mod p over F_p.
     """
     d: dict = {}
     if op == "*":
@@ -122,14 +112,13 @@ def local2d_reference(x: Local2DElement, y: Local2DElement, op: str) -> Local2DE
                 d[k] = d.get(k, 0) + c1.value * c2.value
     else:
         sign = -1 if op == "-" else 1
-        for k, c in x.terms:
-            d[k] = c.value
+        d = values(x.terms)
         for k, c in y.terms:
             d[k] = d.get(k, 0) + sign * c.value
-    return Local2DElement.from_dict(x.field, d)
+    return _reduced(d, x.field.p)
 
 
-def nilpotent_product(x: Local2DElement, y: Local2DElement) -> Local2DElement:
+def nilpotent_product(x, y) -> dict:
     """x * y under the nilpotent rule t_i t_j = 0 for i, j != 0, one term pair at a time.
 
     Reference for ``GeometricDatum.product`` on the nilpotent datum, which
@@ -141,33 +130,35 @@ def nilpotent_product(x: Local2DElement, y: Local2DElement) -> Local2DElement:
             if b1 != 0 and b2 != 0:
                 continue  # t_i t_j = 0 for i, j != 0
             k = (a1 + a2, b1 + b2)
-            prod = c1 * c2
-            d[k] = d[k] + prod if k in d else prod
-    return Local2DElement.from_dict(x.field, d)
+            d[k] = d.get(k, 0) + c1.value * c2.value
+    return _reduced(d, x.field.p)
 
 
-def nodal_nf_mul(ring, p: dict, q: dict) -> dict:
-    """Normal form of p * q in a ``NodalCubicRing``, term pair by term pair.
+def nodal_nf_mul(ring, f: dict, g: dict) -> dict:
+    """Normal form of f * g in a ``NodalCubicRing``, term pair by term pair.
 
-    p and q map basis monomials (a, eps) to nonzero scalars; each term-pair
-    product comes from ``ring.mono_mul`` and coefficients that cancel are
-    dropped, so the result is again a normal form.
+    f and g map basis monomials (a, eps) to nonzero plain values; each
+    term-pair product comes from ``ring.mono_mul`` and coefficients that
+    cancel are dropped, so the result is again a normal form.
     """
     out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
             for m, c in ring.mono_mul(m1, m2).items():
-                v = out.get(m, ring.field.zero) + c1 * c2 * c
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-    return out
+                out[m] = out.get(m, 0) + c1 * c2 * c.value
+    return _reduced(out, ring.field.p)
 
 
-def t_slice_reference(x: Local2DElement, b: int) -> LaurentPoly:
-    """The t^b coefficient of x, gathered into a dict and rebuilt by ``from_dict``."""
-    return LaurentPoly.from_dict(x.field, {a: c.value for (a, bb), c in x.terms if bb == b})
+def t_slice_reference(x, b: int) -> dict:
+    """The t^b coefficient of x as a plain dict {a: value}."""
+    return {a: c.value for (a, bb), c in x.terms if bb == b}
+
+
+def _in_level(L, b: int, vec: dict) -> bool:
+    """Whether the plain vector {(e, c): value} lies in level b of L, by dense rank."""
+    w = L.window
+    return _in_span([values(row) for row in L.level(b).rows], vec, L.field.p, L.r,
+                    w.u_lo, w.u_hi)
 
 
 def slicewise_membership(L, vec) -> Verdict:
@@ -175,18 +166,15 @@ def slicewise_membership(L, vec) -> Verdict:
 
     Reference for ``schur.layered_membership``.  L is the direct sum of
     t^b * level_b, so vec lies in L iff each t^b slice of vec lies in
-    level_b.  The slices are taken in increasing b and tested with
-    ``brute_membership``.  The first nonzero slice at or above the trusted
-    t-top makes the verdict Inconclusive; before that, the first slice
-    outside its level makes it NotIn.
+    level_b.  The slices are taken in increasing b.  The first nonzero slice
+    at or above the trusted t-top makes the verdict Inconclusive; before
+    that, the first slice outside its level makes it NotIn.
     """
-    w = L.window
     for b in sorted({b for x in vec for (_a, b), _c in x.terms}):
-        if b >= w.t_trusted_hi:
+        if b >= L.window.t_trusted_hi:
             return Verdict.INCONCLUSIVE
-        slice_vec = tuple(t_slice_reference(x, b) for x in vec)
-        if not brute_membership(L.level(b).row_vectors(), slice_vec, L.field, L.r,
-                                w.u_lo, w.u_hi):
+        if not _in_level(L, b, {(a, c): v for c, x in enumerate(vec)
+                                for a, v in t_slice_reference(x, b).items()}):
             return Verdict.NOT_IN
     return Verdict.IN
 
@@ -198,14 +186,13 @@ def dense_closure(pair) -> bool:
     the witnesses span the trusted rows.  A trusted basis row is t^b * row for
     a stored row of a t-interior level b whose pivot exponent lies in
     [u_lo + m_u, u_hi - m_u).  Every product of two A rows, and of an A row
-    with a W row, is formed term by term on plain dicts of coefficient
-    values, and each of its t^c slices is tested against level c with
-    ``brute_membership``.  A product with a term in a top margin band,
-    outside the t-window, at or above u_hi, or below u_lo at a level without
-    a full tail is skipped, because ``check`` defers or escapes it; terms
-    below u_lo at a full_below level are dropped.
+    with a W row, is formed term by term on plain values, and each of its
+    t^c slices is tested against level c by dense rank.  A product with a
+    term in a top margin band, outside the t-window, at or above u_hi, or
+    below u_lo at a level without a full tail is skipped, because ``check``
+    defers or escapes it; terms below u_lo at a full_below level are dropped.
     """
-    w, fld = pair.window, pair.field
+    w, p = pair.window, pair.field.p
     seen = {}
 
     def trusted(L):
@@ -215,22 +202,18 @@ def dense_closure(pair) -> bool:
 
     def stays_in(side, L, prod) -> bool:
         slices = {}
-        for (a, b, c), v in prod.items():
-            if not fld.scalar(v):
-                continue
+        for (a, b, c), v in _reduced(prod, p).items():
             if not w.t_lo <= b < w.t_trusted_hi or a >= w.u_trusted_hi:
                 return True
             if a < w.u_lo:
                 if not L.level(b).full_below:
                     return True
                 continue
-            slices.setdefault(b, {}).setdefault(c, {})[a] = v
-        for b, comps in slices.items():
-            vec = tuple(LaurentPoly.from_dict(fld, comps.get(c, {})) for c in range(L.r))
-            key = (side, b, tuple(p.coeffs for p in vec))
+            slices.setdefault(b, {})[a, c] = v
+        for b, vec in slices.items():
+            key = (side, b, tuple(sorted(vec.items())))
             if key not in seen:
-                seen[key] = brute_membership(L.level(b).row_vectors(), vec, fld, L.r,
-                                             w.u_lo, w.u_hi)
+                seen[key] = _in_level(L, b, vec)
             if not seen[key]:
                 return False
         return True
@@ -256,21 +239,22 @@ def axiom_scan(g, layer) -> dict:
     Products of witness pairs are formed term by term, by ``nilpotent_product``
     on the nilpotent datum and ``local2d_reference`` otherwise.  A zero
     product is counted as vanished, and one whose t-order falls below the sum
-    of its factors' is not-in.  Every other product, and the unit, is
-    classified as ``check`` routes it: escaped at a term outside the t-window,
-    at or above u_hi, or below u_lo at a level without a full tail; terms
-    below u_lo at a full level are dropped; zero is in; a term in a top
-    margin band defers it.  The rest is in iff each t^b slice lies in level
-    b, by ``brute_membership`` memoised per slice.  A level is torsion-free
-    when it has a full tail and no pivot at or above u_trusted_hi.  As in
-    the report this reproduces, "checked" counts only the products found in.
+    of its factors' is not-in.  Every other product, and the unit
+    {(0, 0): 1}, is classified as ``check`` routes it: escaped at a term
+    outside the t-window, at or above u_hi, or below u_lo at a level without
+    a full tail; terms below u_lo at a full level are dropped; zero is in; a
+    term in a top margin band defers it.  The rest is in iff each t^b slice
+    lies in level b, by dense rank memoised per slice.  A level is
+    torsion-free when it has a full tail and no pivot at or above
+    u_trusted_hi.  As in the report this reproduces, "checked" counts only
+    the products found in.
     """
-    w, fld = layer.window, layer.field
+    w = layer.window
     seen = {}
 
-    def route(x) -> str:
+    def route(x: dict) -> str:
         slices, in_margin = {}, False
-        for (a, b), c in x.terms:
+        for (a, b), c in x.items():
             if not w.t_lo <= b < w.t_hi or a >= w.u_hi:
                 return "escaped"
             if a < w.u_lo:
@@ -278,31 +262,29 @@ def axiom_scan(g, layer) -> dict:
                     return "escaped"
                 continue
             in_margin = in_margin or b >= w.t_trusted_hi or a >= w.u_trusted_hi
-            slices.setdefault(b, {})[a] = c.value
+            slices.setdefault(b, {})[a, 0] = c
         if slices and in_margin:
             return "deferred"
-        for b, coeffs in slices.items():
-            vec = (LaurentPoly.from_dict(fld, coeffs),)
-            key = (b, vec[0].coeffs)
+        for b, vec in slices.items():
+            key = (b, tuple(sorted(vec.items())))
             if key not in seen:
-                seen[key] = brute_membership(layer.level(b).row_vectors(), vec, fld, 1,
-                                             w.u_lo, w.u_hi)
+                seen[key] = _in_level(layer, b, vec)
             if not seen[key]:
                 return "not-in"
         return "in"
 
-    def ord_t(x) -> int:
-        return min(b for (_a, b), _c in x.terms)
-
-    unit = route(Local2DElement.one(fld)) == "in"
+    unit = route({(0, 0): 1}) == "in"
     counts = Counter()
     gens = [vec[0] for vec in layer.generators]
+    orders = [min(b for (_a, b), _c in x.terms) for x in gens]
     for i, x in enumerate(gens):
-        for y in gens[i:]:
-            prod = nilpotent_product(x, y) if g.kind == "nilpotent" else local2d_reference(x, y, "*")
+        for j in range(i, len(gens)):
+            y = gens[j]
+            prod = (nilpotent_product(x, y) if g.kind == "nilpotent"
+                    else local2d_reference(x, y, "*"))
             if not prod:
                 counts["vanished"] += 1
-            elif ord_t(prod) < ord_t(x) + ord_t(y):
+            elif min(b for _a, b in prod) < orders[i] + orders[j]:
                 counts["not-in"] += 1
             else:
                 counts[route(prod)] += 1
@@ -319,27 +301,37 @@ def axiom_scan(g, layer) -> dict:
     }
 
 
-def _dense_basis(r: int, u_lo: int, u_hi: int):
-    # component-major enumeration, deliberately different from the package's
-    return [(c, e) for c in range(r) for e in range(u_lo, u_hi)]
+def vectors_to_dense(vectors, r: int, u_lo: int, u_hi: int):
+    """Plain vectors {(e, c): value} as dense rows over the component-major basis (c, e).
 
-
-def vectors_to_dense(vectors, field: Field, r: int, u_lo: int, u_hi: int):
-    basis = _dense_basis(r, u_lo, u_hi)
-    index = {key: i for i, key in enumerate(basis)}
+    The enumeration is deliberately different from the package's (e, c)
+    order.  Returns the rows and the basis.
+    """
+    basis = [(c, e) for c in range(r) for e in range(u_lo, u_hi)]
+    index = {(e, c): i for i, (c, e) in enumerate(basis)}
     out = []
     for vec in vectors:
-        row = [field.zero] * len(basis)
-        for c, poly in enumerate(vec):
-            for e, coeff in poly.coeffs:
-                row[index[(c, e)]] = coeff
+        row = [0] * len(basis)
+        for k, v in vec.items():
+            row[index[k]] = v
         out.append(row)
     return out, basis
 
 
+def _plain_vector(vec) -> dict:
+    """A vector of Laurent polynomials as a plain dict {(e, c): value}."""
+    return {(e, c): x.value for c, poly in enumerate(vec) for e, x in poly.coeffs}
+
+
+def _in_span(rows, v, p, r: int, u_lo: int, u_hi: int) -> bool:
+    dense, _ = vectors_to_dense(list(rows) + [v], r, u_lo, u_hi)
+    return dense_rank(dense[:-1], p) == dense_rank(dense, p)
+
+
 def brute_membership(rows, v, field: Field, r: int, u_lo: int, u_hi: int) -> bool:
-    dense, _ = vectors_to_dense(list(rows) + [v], field, r, u_lo, u_hi)
-    return dense_rank(dense[:-1]) == dense_rank(dense)
+    """Whether the vector v of Laurent polynomials lies in the span of ``rows``, by dense rank."""
+    return _in_span([_plain_vector(vec) for vec in rows], _plain_vector(v), field.p, r,
+                    u_lo, u_hi)
 
 
 def brute_index(rows, field: Field, r: int, u_lo: int, u_hi: int) -> int:
@@ -348,19 +340,13 @@ def brute_index(rows, field: Field, r: int, u_lo: int, u_hi: int) -> int:
     dim(V ∩ F+) comes from dim V + dim F+ - dim(V + F+); the cokernel side
     from the rank of V projected to the negative coordinates.
     """
-    dense, basis = vectors_to_dense(rows, field, r, u_lo, u_hi)
-    dim_v = dense_rank(dense)
+    p = field.p
+    dense, basis = vectors_to_dense([_plain_vector(vec) for vec in rows], r, u_lo, u_hi)
     plus_idx = [i for i, (_c, e) in enumerate(basis) if e >= 0]
     minus_idx = [i for i, (_c, e) in enumerate(basis) if e < 0]
-    unit_rows = []
-    for i in plus_idx:
-        row = [field.zero] * len(basis)
-        row[i] = field.one
-        unit_rows.append(row)
-    dim_sum = dense_rank(dense + unit_rows)
-    dim_cap_plus = dim_v + len(plus_idx) - dim_sum
-    proj = [[row[i] for i in minus_idx] for row in dense] if minus_idx else []
-    dim_proj_minus = dense_rank(proj) if minus_idx else 0
+    units = [[int(j == i) for j in range(len(basis))] for i in plus_idx]
+    dim_cap_plus = dense_rank(dense, p) + len(plus_idx) - dense_rank(dense + units, p)
+    dim_proj_minus = dense_rank([[row[i] for i in minus_idx] for row in dense], p)
     return dim_cap_plus - (len(minus_idx) - dim_proj_minus)
 
 
@@ -400,10 +386,10 @@ def graded_dimension(L, j: int, n: int) -> int:
     dim(S + U_n).  No pivot is read.
     """
     S = graded_slice(L, 0, j)
-    dense, basis = vectors_to_dense(S.row_vectors(), S.field, S.r, S.u_lo, S.u_hi)
-    units = [[S.field.one if key == unit else S.field.zero for key in basis]
-             for unit in basis if unit[1] >= -n]
-    return dense_rank(dense) + len(units) - dense_rank(dense + units)
+    dense, basis = vectors_to_dense([values(row) for row in S.rows], S.r, S.u_lo, S.u_hi)
+    units = [[int(key == unit) for key in basis] for unit in basis if unit[1] >= -n]
+    p = S.field.p
+    return dense_rank(dense, p) + len(units) - dense_rank(dense + units, p)
 
 
 def rr_h0(d: int) -> int:

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fixtures import contains_monomial, random_local2d
 from oracles import (axiom_scan, chi, nilpotent_product, nodal_nf_mul,
-                     section_monomial_allowed)
+                     section_monomial_allowed, values)
 from ribbonlab.errors import (ConfigError, DegreeBoundError,
                               UnsupportedDatumError, WindowTooSmallError)
 from ribbonlab.fredholm import Verdict, echelonize
@@ -234,18 +234,17 @@ def test_datum_products_match_term_pair_oracle(seed, field):
     rng = random.Random(seed)
     x, y = (random_local2d(rng, field, lo=-2, hi=2, max_terms=6) for _ in range(2))
     assume(len(x.terms) > 1 and len(y.terms) > 1)
-    assert make_datum("nilpotent").product(x, y) == nilpotent_product(x, y)
+    assert values(make_datum("nilpotent").product(x, y).terms) == nilpotent_product(x, y)
     assert make_datum("p2-line").product(x, y) == x * y
 
 
 def test_nodal_ring_confluence_on_basis():
     ring = NodalCubicRing(6)
-    one = QQ.one
     for m1 in ring.basis(3):
         for m2 in ring.basis(3):
             for m3 in ring.basis(3):
-                left = nodal_nf_mul(ring, nodal_nf_mul(ring, {m1: one}, {m2: one}), {m3: one})
-                right = nodal_nf_mul(ring, {m1: one}, nodal_nf_mul(ring, {m2: one}, {m3: one}))
+                left = nodal_nf_mul(ring, nodal_nf_mul(ring, {m1: 1}, {m2: 1}), {m3: 1})
+                right = nodal_nf_mul(ring, {m1: 1}, nodal_nf_mul(ring, {m2: 1}, {m3: 1}))
                 assert left == right
 
 

@@ -22,6 +22,7 @@ import json
 import os
 import random
 import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -133,6 +134,29 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert len(got) == len(commands())
     changed = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
     assert not changed, f"{len(changed)} of {len(got)} digests differ: {changed}"
+
+
+# run in a child interpreter whose imports of the test tools fail
+BLOCKED_IMPORTS = """
+import sys
+
+class Blocked:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("pytest", "_pytest", "hypothesis", "sympy"):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, Blocked())
+import perturbed
+import test_golden
+"""
+
+
+def test_golden_script_needs_neither_pytest_nor_hypothesis_nor_sympy():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", BLOCKED_IMPORTS], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 if __name__ == "__main__":

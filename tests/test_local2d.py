@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import assert_frozen_value, enlarged, random_local2d, support_radius, t_slice
-from oracles import local2d_reference, t_slice_reference
+from oracles import local2d_reference, t_slice_reference, values
 from ribbonlab.errors import ConfigError, FieldMismatchError, ZeroOrderError
 from ribbonlab.local2d import Local2DElement, Window2D, ord_t_vector
 from ribbonlab.series import QQ, Field, Scalar
@@ -171,11 +171,11 @@ def second_operand(data, field, x, kind):
     block = x.terms[:data.draw(st.integers(0, len(x.terms)))]
     if kind == "same":
         return Local2DElement(field, block)
-    values = [(k, c.value) for k, c in block]
-    if kind == "changed" and values:
-        i = data.draw(st.integers(0, len(values) - 1))
-        values[i] = (values[i][0], values[i][1] + 1)
-    return Local2DElement.from_dict(field, values)
+    pairs = [(k, c.value) for k, c in block]
+    if kind == "changed" and pairs:
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], pairs[i][1] + 1)
+    return Local2DElement.from_dict(field, pairs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,10 +187,10 @@ def test_ops_match_dict_reference_and_stay_canonical(data, field, b, kind):
     if kind == "one-term" and data.draw(st.booleans()):
         x, y = y, x
     for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
-        assert got == local2d_reference(x, y, op)
+        assert values(got.terms) == local2d_reference(x, y, op)
         assert_canonical([((bb, a), c) for (a, bb), c in got.terms], field)
     got = t_slice(x, b)
-    assert got == t_slice_reference(x, b)
+    assert values(got.coeffs) == t_slice_reference(x, b)
     assert_canonical(got.coeffs, field)
 
 
@@ -203,7 +203,7 @@ def test_one_term_factor_shifts_the_other(c, swap):
     if swap:
         x, y = y, x
     got = x * y
-    assert got == local2d_reference(x, y, "*")
+    assert values(got.terms) == local2d_reference(x, y, "*")
     assert got == el(F_MERSENNE, {(3, -2): -2, (1, -1): -1, (4, -1): -2 ** 30, (3, 1): 2})
     assert_canonical([((bb, a), v) for (a, bb), v in got.terms], F_MERSENNE)
     assert x * Local2DElement(F_MERSENNE) == Local2DElement(F_MERSENNE)
@@ -215,7 +215,7 @@ def test_mul_key_cancelled_then_restored():
     x = el(QQ, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
     y = el(QQ, {(0, 0): 1, (1, 0): -1, (2, 0): 1})
     assert x * y == el(QQ, {(0, 0): 1, (2, 0): 1, (4, 0): 1})
-    assert x * y == local2d_reference(x, y, "*")
+    assert values((x * y).terms) == local2d_reference(x, y, "*")
 
 
 def test_separately_built_equal_fields_combine():
@@ -224,7 +224,7 @@ def test_separately_built_equal_fields_combine():
     x = Local2DElement.from_dict(f7a, {(0, 0): 3, (1, 0): 5})
     y = Local2DElement.from_dict(f7b, {(0, 0): 4, (0, 1): 2})
     for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
-        assert got == local2d_reference(x, y, op)
+        assert values(got.terms) == local2d_reference(x, y, op)
     assert x + y == Local2DElement.from_dict(f7a, {(1, 0): 5, (0, 1): 2})
     f11 = Local2DElement.from_dict(Field(11), {(0, 0): 1})
     for op in (lambda p, q: p + q, lambda p, q: p * q, lambda p, q: p - q):

@@ -161,13 +161,14 @@ def test_hilbert_matches_graded_slice_rank_on_built_pairs(kind, twist):
 
 
 def test_hilbert_matches_graded_slice_rank_on_random_levels():
+    # full_below is drawn too: the tail lies below u_lo <= -n, so it adds nothing
     rng = random.Random(113)
     for _ in range(200):
         fld, r = rng.choice([QQ, Field(13)]), rng.randint(1, 2)
         w = Window2D(rng.randint(-2, 0), rng.randint(1, 3), rng.randint(-5, -1), rng.randint(1, 5))
         levels = tuple(
             (b, echelonize(random_windowed_rows(rng, fld, r, w.u_lo, w.u_hi, rng.randint(0, 4)),
-                           r, w.u_lo, w.u_hi, True, field=fld))
+                           r, w.u_lo, w.u_hi, rng.random() < 0.5, field=fld))
             for b in range(w.t_lo, w.t_hi))
         L = LayeredSubspace(fld, r, w, levels, ())
         j, n = rng.randint(1, w.t_hi), rng.randint(0, -w.u_lo)
